@@ -29,9 +29,6 @@
 //!   cell/stage above runs on a work-stealing thread pool with
 //!   deterministic (serial-equivalent) output ordering, feeding the
 //!   `--report` run telemetry.
-//! * [`simbench`] — the recorded simulator performance baseline
-//!   (`BENCH_sim.json`) and the regression gate the CI `sim-perf` job
-//!   enforces against it.
 //!
 //! Each experiment returns a [`render::Table`] (ASCII + CSV) so results are
 //! regenerable; the `repro` binary drives them from the command line.
@@ -49,7 +46,6 @@ pub mod json;
 pub mod plot;
 pub mod render;
 pub mod scorecard;
-pub mod simbench;
 pub mod sweeps;
 pub mod tables;
 pub mod timeseries;

@@ -294,7 +294,7 @@ fn serve_src(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-/// The acceptance criterion: on the **real** serve sources, the shipped
+/// The acceptance check: on the **real** serve sources, the shipped
 /// `take_updates` is clean, and reverting its try_lock fix back to a
 /// blocking `lock()` (the PR 8 bug) brings back a `reactor-no-blocking-call`
 /// diagnostic that names the reachability chain.

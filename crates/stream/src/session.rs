@@ -654,14 +654,21 @@ mod tests {
 
     #[test]
     fn single_point_delta_resolves_only_its_row() {
-        let mut session = Session::open(small_spec(), 1).unwrap();
-        session.take_updates();
-        let ack = session.submit(&[Delta::AddBandwidth(-0.5)]).unwrap();
-        // 2 workloads x 1 new bandwidth point x 2 latency steps = 4 cells.
-        assert_eq!(ack.cells_resolved, 4);
-        assert_eq!(ack.cells_skipped, 8);
-        assert_eq!(session.grid_cells(), 12);
-        assert_eq!(ack.seq, 1);
+        // (spec, new bandwidth point, resolved, skipped, cells after). The
+        // small spec re-solves 2 workloads x 1 point x 2 latency steps = 4
+        // cells; the default grid 3 x 1 x 7 = 21 of 189.
+        for (spec, point, resolved, skipped, cells) in [
+            (small_spec(), -0.5, 4, 8, 12),
+            (GridSpec::default_grid(), 0.25, 21, 168, 189),
+        ] {
+            let mut session = Session::open(spec, 1).unwrap();
+            session.take_updates();
+            let ack = session.submit(&[Delta::AddBandwidth(point)]).unwrap();
+            assert_eq!(ack.cells_resolved, resolved);
+            assert_eq!(ack.cells_skipped, skipped);
+            assert_eq!(session.grid_cells(), cells);
+            assert_eq!(ack.seq, 1);
+        }
     }
 
     #[test]

@@ -67,6 +67,15 @@ fn fig8_bandwidth_impact_ordering() {
     let big = at_worst(&WorkloadParams::big_data_class());
     let hpc = at_worst(&WorkloadParams::hpc_class());
     assert!(hpc > big && big > ent, "HPC {hpc} > big {big} > ent {ent}");
+    // HPC is bandwidth bound at every baseline-or-below point.
+    for p in bandwidth_sweep(&WorkloadParams::hpc_class(), &sys, &curve, &deltas).unwrap() {
+        assert_eq!(
+            p.solved.regime,
+            Regime::BandwidthBound,
+            "HPC at {}",
+            p.delta
+        );
+    }
     // "the HPC class shows the most impact, while the enterprise class
     //  shows the least" — and the impact is dramatic for HPC.
     assert!(
