@@ -1,20 +1,21 @@
-//! Golden determinism snapshot for the simulator hot path.
+//! Golden determinism snapshots for the simulator hot path.
 //!
 //! The cache, TLB, scheduler, and prefetch-table data structures are
-//! performance-tuned under one contract: bit-identical behavior. This test
-//! pins a mixed multi-core scenario (OLTP + Spark on a 4-core Xeon-like
-//! machine) to the exact `f64` bit patterns and counter values the engine
-//! produced when the snapshot was recorded. Any change to replacement
-//! decisions, scheduling order, prefetch bookkeeping, or phase accounting
-//! shows up here as a bit-level diff — before it silently shifts a figure
-//! or table downstream.
+//! performance-tuned under one contract: bit-identical behavior. These tests
+//! pin a mixed multi-core scenario (OLTP + Spark on a 4-core Xeon-like
+//! machine) and a TLB-enabled NITS run to the exact `f64` bit patterns and
+//! counter values the engine produced when the snapshots were recorded.
+//! Any change to replacement decisions, scheduling order, prefetch
+//! bookkeeping, or phase accounting shows up here as a bit-level diff —
+//! before it silently shifts a figure or table downstream.
 //!
-//! If this test fails, the fix is almost never to update the constants:
+//! If one of these fails, the fix is almost never to update the constants:
 //! the engine is supposed to be deterministic, and every repro artifact is
 //! downstream of these bits. Update them only for an *intentional*
 //! modeling change, in the same commit that regenerates the affected
 //! tables and figures.
 
+use memsense::sim::tlb::TlbConfig;
 use memsense::sim::{Machine, SimConfig};
 use memsense::workloads::Workload;
 
@@ -78,4 +79,36 @@ fn phase_instruction_counts_are_exact_and_ordered() {
             "phase {want_name} instruction count drifted"
         );
     }
+}
+
+/// Pins the paths the mixed scenario above leaves dark: a DTLB whose misses
+/// charge page walks, non-temporal stores that bypass the caches, and I/O
+/// credits that inject device traffic (NITS has all three).
+#[test]
+fn tlb_nt_store_and_io_paths_are_bit_stable() {
+    let cfg = SimConfig::xeon_like(2).with_tlb(TlbConfig::dtlb_64());
+    let mut m = Machine::new(cfg, Workload::Nits.streams(2, 0x5e)).expect("valid config");
+    m.run_ops(30_000);
+    let meas = m.measure_for_ns(60_000.0).expect("non-empty window");
+
+    assert_bits("cpi_eff", meas.cpi_eff, 0x3ff2a2e92dc08522);
+    assert_bits("mpki", meas.mpki, 0x401474f75e12ea3a);
+    assert_bits("miss_penalty_ns", meas.miss_penalty_ns, 0x40548bd8a9a0fa8b);
+    assert_bits("wbr", meas.wbr, 0x3ff2c7789e6cbcab);
+    assert_bits("bandwidth_gbps", meas.bandwidth_gbps, 0x400cfaacd9e83e42);
+    assert_bits("cpu_utilization", meas.cpu_utilization, 0x3feffc884037309b);
+    assert_eq!(meas.instructions, 278_048, "instruction count drifted");
+
+    let counters = m.total_counters();
+    assert_eq!(counters.tlb_misses, 368, "TLB miss count drifted");
+    assert_eq!(
+        counters.nt_stores, 2_029,
+        "non-temporal store count drifted"
+    );
+    assert_eq!(counters.io_bytes, 23_616, "I/O byte count drifted");
+    assert_eq!(
+        counters.llc_demand_misses, 788,
+        "LLC demand-miss count drifted"
+    );
+    assert_bits("busy_ns", counters.busy_ns, 0x4102f22dd79f7900);
 }
