@@ -141,14 +141,14 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "no-per-op-alloc",
         summary: "Vec::new/vec![] in simulator hot-loop modules",
-        invariant: "The sim's per-op pipeline (engine step loop, cache/TLB \
-                    block passes, stream generators, prefetcher, memory \
-                    controller) runs millions of times per experiment; the \
-                    second-2x perf work made those paths allocation-free via \
-                    reused scratch buffers. A fresh `Vec::new()` or `vec![…]` \
-                    in one of those modules multiplies across every simulated \
-                    op. Scope: the hot sim modules (engine, cache, tlb, \
-                    trace, prefetch, mem).",
+        invariant: "The sim's per-op pipeline (`fill_block` stream \
+                    generators feeding the engine's per-op TLB/cache loop, \
+                    prefetcher, memory controller) runs millions of times \
+                    per experiment; the second-2x perf work made those paths \
+                    allocation-free via reused scratch buffers. A fresh \
+                    `Vec::new()` or `vec![…]` in one of those modules \
+                    multiplies across every simulated op. Scope: the hot sim \
+                    modules (engine, cache, tlb, trace, prefetch, mem).",
         fix: "Reuse a caller-owned scratch buffer (`clear()` + refill, as \
               `on_miss_into`/`fill_block` do) or pre-size once with \
               `Vec::with_capacity`. One-time construction and other cold \

@@ -15,7 +15,6 @@
 //! common consecutive-hits-to-one-line case skips the set walk entirely.
 
 use crate::config::{CacheConfig, SimConfig};
-use crate::trace::{AccessKind, Op};
 
 const VALID: u32 = 1;
 const DIRTY: u32 = 2;
@@ -198,18 +197,6 @@ impl SetAssocCache {
         true
     }
 
-    /// Performs a batch of `(addr, write)` accesses in order, appending one
-    /// [`Lookup`] per access to `out`. State and counter evolution are
-    /// identical to the same sequence of [`SetAssocCache::access`] calls;
-    /// batching exists so callers pay the call/setup overhead once per
-    /// block instead of once per access.
-    pub fn access_block(&mut self, accesses: &[(u64, bool)], out: &mut Vec<Lookup>) {
-        out.reserve(accesses.len());
-        for &(addr, write) in accesses {
-            out.push(self.access(addr, write));
-        }
-    }
-
     /// Checks for presence without updating replacement state.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
@@ -341,7 +328,7 @@ impl CacheHierarchy {
     }
 
     /// The L2/LLC stage of [`CacheHierarchy::access`], taken on an L1 miss.
-    pub(crate) fn access_below_l1(&mut self, addr: u64, write: bool) -> HierarchyAccess {
+    fn access_below_l1(&mut self, addr: u64, write: bool) -> HierarchyAccess {
         match self.l2.access(addr, write) {
             Lookup::Hit => {
                 if write {
@@ -366,38 +353,6 @@ impl CacheHierarchy {
                         memory_writeback: writeback,
                     },
                 }
-            }
-        }
-    }
-
-    /// Marks `addr`'s LLC line dirty (the L1-hit store side effect, which
-    /// the blocked engine pipeline must apply at the op's position rather
-    /// than at L1-probe time).
-    pub(crate) fn mark_llc_dirty(&mut self, addr: u64) {
-        self.llc.mark_dirty(addr);
-    }
-
-    /// Runs the L1 stage for every non-idle, non-NT memory access in
-    /// `ops`, appending one hit flag per access (in op order) to `out`.
-    ///
-    /// Legal to run for a whole block up front because L1 and predictor
-    /// state are mutated *only* by this demand-access sequence — prefetch
-    /// installs and LLC dirty marks touch L2/LLC only — so the evolution
-    /// is identical to per-op interleaving. The order-sensitive L1-hit
-    /// store side effect (LLC dirty mark) is deliberately *not* applied
-    /// here; the engine applies it at the op's position.
-    pub fn l1_probe_block(&mut self, ops: &[Op], out: &mut Vec<bool>) {
-        out.clear();
-        for op in ops {
-            if op.idle {
-                continue;
-            }
-            if let Some((addr, kind)) = op.access {
-                if matches!(kind, AccessKind::NonTemporalStore) {
-                    continue;
-                }
-                let write = !matches!(kind, AccessKind::Load { .. });
-                out.push(self.l1_access(addr, write));
             }
         }
     }

@@ -212,10 +212,6 @@ struct Core {
     pf_scratch: Vec<u64>,
     /// Reused op block: one `fill_block` dispatch per scheduling quantum.
     block: OpBlock,
-    /// Reused per-block TLB hit flags (one per non-idle access op).
-    tlb_block: Vec<bool>,
-    /// Reused per-block L1 hit flags (one per non-idle, non-NT access op).
-    l1_block: Vec<bool>,
 }
 
 /// A background DMA agent: device traffic (storage, NIC) that hits memory
@@ -326,8 +322,6 @@ impl Machine {
                 phase_instructions: PhaseCounts::new(),
                 pf_scratch: Vec::with_capacity(8),
                 block: OpBlock::new(),
-                tlb_block: Vec::with_capacity(BATCH_OPS as usize),
-                l1_block: Vec::with_capacity(BATCH_OPS as usize),
             })
             .collect();
         let memory = (0..config.numa.sockets)
@@ -525,15 +519,13 @@ impl Machine {
     /// Figs. 2/4/5 characterization time series.
     pub fn sample_series(&mut self, interval_ns: f64, count: usize) -> Vec<Sample> {
         let mut out = Vec::with_capacity(count);
-        for k in 0..count {
+        for _ in 0..count {
             let t = self.now_ns();
             if let Some(measurement) = self.measure_for_ns(interval_ns) {
                 out.push(Sample {
                     time_s: t / 1e9,
                     measurement,
                 });
-            } else {
-                let _ = k;
             }
         }
         out
@@ -546,30 +538,10 @@ impl Machine {
         let rob = config.rob_size as u64;
         let mshrs = config.mshrs as usize;
 
-        // Stage 1: one dynamic dispatch pulls the whole quantum of ops,
-        // with phase labels and I/O rates attached as run-length sidecars.
+        // One dynamic dispatch pulls the whole quantum of ops, with phase
+        // labels and I/O rates attached as run-length sidecars.
         core.stream.fill_block(&mut core.block, ops as usize);
         let n = core.block.ops.len();
-
-        // Stage 2: whole-block address translation. TLB state depends only
-        // on the access-address sequence, so translating up front is
-        // byte-identical to per-op interleaving; a disabled TLB (the
-        // default) skips the stage entirely.
-        let tlb_on = core.tlb.enabled();
-        if tlb_on {
-            core.tlb.access_block(&core.block.ops, &mut core.tlb_block);
-        }
-
-        // Stage 3: whole-block L1 probe (branchless SoA tag sweeps). L1 and
-        // way-predictor state are mutated only by this demand sequence —
-        // prefetch installs and dirty marks touch L2/LLC — so outcomes are
-        // byte-identical; order-sensitive side effects (LLC dirty marks,
-        // L2/LLC fills, memory requests) stay in the per-op loop below.
-        core.hierarchy
-            .l1_probe_block(&core.block.ops, &mut core.l1_block);
-
-        let mut tlb_i = 0usize;
-        let mut l1_i = 0usize;
 
         // Run cursors: phase bumps are flushed per run (`bump_n`), the I/O
         // credit add is skipped for zero-rate runs — both bit-identical to
@@ -587,114 +559,63 @@ impl Machine {
                 let dur = op.extra_cycles as f64 * self.cycle_ns;
                 core.time_ns += dur;
                 core.counters.idle_ns += dur;
-                phase_left -= 1;
-                if phase_left == 0 {
-                    let (_, label) = core.block.phase_run(phase_idx);
-                    core.phase_instructions.bump_n(label, phase_retired);
-                    phase_retired = 0;
-                    phase_idx += 1;
-                    if phase_idx < core.block.phase_run_count() {
-                        phase_left = core.block.phase_run(phase_idx).0;
+            } else {
+                // Issue slot + extra compute latency.
+                let op_start_ns = core.time_ns;
+                let mut advance = self.issue_ns + op.extra_cycles as f64 * self.cycle_ns;
+
+                // I/O traffic owed by this thread's device activity. Adding a
+                // zero rate cannot change a non-negative credit, so zero-rate
+                // runs skip the credit update entirely.
+                if io_rate > 0.0 {
+                    core.io_credit += io_rate;
+                    while core.io_credit >= config.line_size as f64 {
+                        core.io_credit -= config.line_size as f64;
+                        let io_addr = core.counters.io_bytes.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                            & !(config.line_size as u64 - 1);
+                        let write = core.io_toggle;
+                        core.io_toggle = !core.io_toggle;
+                        numa_request(
+                            config,
+                            &mut self.memory,
+                            socket,
+                            core.time_ns,
+                            io_addr,
+                            write,
+                        );
+                        core.counters.io_bytes += config.line_size as u64;
                     }
                 }
-                io_left -= 1;
-                if io_left == 0 {
-                    io_idx += 1;
-                    (io_left, io_rate) = core.block.io_run(io_idx);
-                }
-                continue;
-            }
 
-            // Issue slot + extra compute latency.
-            let op_start_ns = core.time_ns;
-            let mut advance = self.issue_ns + op.extra_cycles as f64 * self.cycle_ns;
+                if let Some((addr, kind)) = op.access {
+                    let is_store = !matches!(kind, AccessKind::Load { .. });
+                    let dependent = matches!(kind, AccessKind::Load { dependent: true });
 
-            // I/O traffic owed by this thread's device activity. Adding a
-            // zero rate cannot change a non-negative credit, so zero-rate
-            // runs skip the whole block.
-            if io_rate > 0.0 {
-                core.io_credit += io_rate;
-                while core.io_credit >= config.line_size as f64 {
-                    core.io_credit -= config.line_size as f64;
-                    let io_addr = core.counters.io_bytes.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        & !(config.line_size as u64 - 1);
-                    let write = core.io_toggle;
-                    core.io_toggle = !core.io_toggle;
-                    numa_request(
-                        config,
-                        &mut self.memory,
-                        socket,
-                        core.time_ns,
-                        io_addr,
-                        write,
-                    );
-                    core.counters.io_bytes += config.line_size as u64;
-                }
-            }
-
-            if let Some((addr, kind)) = op.access {
-                let is_store = !matches!(kind, AccessKind::Load { .. });
-                let dependent = matches!(kind, AccessKind::Load { dependent: true });
-
-                // Address translation: a DTLB miss stalls for the walk.
-                if tlb_on {
-                    let tlb_hit = core.tlb_block[tlb_i];
-                    tlb_i += 1;
-                    if !tlb_hit {
+                    // Address translation: a DTLB miss stalls for the walk.
+                    // A disabled TLB always hits.
+                    if !core.tlb.access(addr) {
                         let walk = core.tlb.walk_cycles() as f64 * self.cycle_ns;
                         advance += walk;
                         core.counters.stall_ns += walk;
                         core.counters.tlb_misses += 1;
                     }
-                }
 
-                if matches!(kind, AccessKind::NonTemporalStore) {
-                    numa_request(config, &mut self.memory, socket, core.time_ns, addr, true);
-                    core.counters.nt_stores += 1;
-                } else {
-                    let l1_hit = core.l1_block[l1_i];
-                    l1_i += 1;
-                    if l1_hit {
-                        core.counters.l1_hits += 1;
-                        if is_store {
-                            core.hierarchy.mark_llc_dirty(addr);
-                        }
+                    if matches!(kind, AccessKind::NonTemporalStore) {
+                        numa_request(config, &mut self.memory, socket, core.time_ns, addr, true);
+                        core.counters.nt_stores += 1;
                     } else {
-                        let res = core.hierarchy.access_below_l1(addr, is_store);
+                        let res = core.hierarchy.access(addr, is_store);
                         match res.level {
-                            HitLevel::L1 => {}
-                            HitLevel::L2 => {
-                                core.counters.l2_hits += 1;
-                                let lat = core.hierarchy.l2_hit_latency as f64 * self.cycle_ns;
-                                advance += if dependent {
-                                    lat
+                            HitLevel::L1 => core.counters.l1_hits += 1,
+                            level @ (HitLevel::L2 | HitLevel::Llc) => {
+                                let cycles = if level == HitLevel::L2 {
+                                    core.counters.l2_hits += 1;
+                                    core.hierarchy.l2_hit_latency
                                 } else {
-                                    lat * INDEPENDENT_HIT_EXPOSURE
+                                    core.counters.llc_hits += 1;
+                                    core.hierarchy.llc_hit_latency
                                 };
-                                let line = addr >> config.line_size.trailing_zeros();
-                                if let Some(ready) = core.pending_prefetch.remove(line) {
-                                    if dependent {
-                                        let t = core.time_ns + advance;
-                                        if ready > t {
-                                            core.counters.stall_ns += ready - t;
-                                            advance += ready - t;
-                                        }
-                                    } else if ready > core.time_ns {
-                                        core.outstanding
-                                            .push_back((ready, core.counters.instructions));
-                                    }
-                                    Self::issue_prefetches(
-                                        config,
-                                        &mut self.memory,
-                                        socket,
-                                        core,
-                                        addr,
-                                    );
-                                }
-                            }
-                            HitLevel::Llc => {
-                                core.counters.llc_hits += 1;
-                                let lat = core.hierarchy.llc_hit_latency as f64 * self.cycle_ns;
+                                let lat = cycles as f64 * self.cycle_ns;
                                 advance += if dependent {
                                     lat
                                 } else {
@@ -790,26 +711,26 @@ impl Machine {
                         }
                     }
                 }
-            }
 
-            // Reorder-window limit: the core may run at most `rob` retired
-            // instructions past the oldest incomplete miss.
-            while let Some(&(done, ridx)) = core.outstanding.front() {
-                if done <= core.time_ns {
-                    core.outstanding.pop_front();
-                } else if core.counters.instructions.saturating_sub(ridx) >= rob {
-                    core.counters.stall_ns += done - core.time_ns;
-                    core.time_ns = done;
-                    core.outstanding.pop_front();
-                } else {
-                    break;
+                // Reorder-window limit: the core may run at most `rob` retired
+                // instructions past the oldest incomplete miss.
+                while let Some(&(done, ridx)) = core.outstanding.front() {
+                    if done <= core.time_ns {
+                        core.outstanding.pop_front();
+                    } else if core.counters.instructions.saturating_sub(ridx) >= rob {
+                        core.counters.stall_ns += done - core.time_ns;
+                        core.time_ns = done;
+                        core.outstanding.pop_front();
+                    } else {
+                        break;
+                    }
                 }
-            }
 
-            core.time_ns += advance;
-            core.counters.busy_ns += core.time_ns - op_start_ns;
-            core.counters.instructions += 1;
-            phase_retired += 1;
+                core.time_ns += advance;
+                core.counters.busy_ns += core.time_ns - op_start_ns;
+                core.counters.instructions += 1;
+                phase_retired += 1;
+            }
 
             phase_left -= 1;
             if phase_left == 0 {

@@ -100,11 +100,6 @@ impl Tlb {
         self.clock
     }
 
-    /// Whether this TLB is modeled at all (zero entries = disabled).
-    pub fn enabled(&self) -> bool {
-        self.config.enabled()
-    }
-
     /// Translates `addr`; returns `true` on a hit, `false` on a miss (the
     /// caller charges [`TlbConfig::walk_cycles`]). A disabled TLB always
     /// hits.
@@ -153,25 +148,6 @@ impl Tlb {
         self.pages.push(page);
         self.stamps.push(stamp);
         false
-    }
-
-    /// Translates every non-idle memory access in `ops`, appending one
-    /// hit/miss flag per access (in op order) to `out`.
-    ///
-    /// The TLB's state depends only on the address sequence — nothing else
-    /// in the engine mutates it — so translating a whole block up front
-    /// produces exactly the state and outcomes of per-op translation
-    /// interleaved with execution.
-    pub fn access_block(&mut self, ops: &[crate::trace::Op], out: &mut Vec<bool>) {
-        out.clear();
-        for op in ops {
-            if op.idle {
-                continue;
-            }
-            if let Some((addr, _)) = op.access {
-                out.push(self.access(addr));
-            }
-        }
     }
 
     /// Configured walk penalty in cycles.
@@ -259,37 +235,6 @@ mod tests {
         }
         assert!((t.miss_ratio() - 1.0).abs() < 1e-12);
         assert_eq!(t.walk_cycles(), 30);
-    }
-
-    #[test]
-    fn access_block_equals_per_op_access() {
-        use crate::trace::Op;
-        let ops: Vec<Op> = (0..200u64)
-            .map(|i| match i % 5 {
-                0 => Op::load((i * 911) << 12),
-                1 => Op::store((i % 7) << 12),
-                2 => Op::compute(),
-                3 => Op::nt_store((i * 13) << 12),
-                _ => Op::idle(4),
-            })
-            .collect();
-        let mut blocked = Tlb::new(TlbConfig::dtlb_64());
-        let mut scalar = Tlb::new(TlbConfig::dtlb_64());
-        let mut out = Vec::new();
-        blocked.access_block(&ops, &mut out);
-        let mut expect = Vec::new();
-        for op in &ops {
-            if op.idle {
-                continue;
-            }
-            if let Some((addr, _)) = op.access {
-                expect.push(scalar.access(addr));
-            }
-        }
-        assert_eq!(out, expect);
-        assert_eq!(blocked.stats(), scalar.stats());
-        assert!(blocked.enabled());
-        assert!(!Tlb::new(TlbConfig::disabled()).enabled());
     }
 
     #[test]

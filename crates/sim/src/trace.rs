@@ -1,9 +1,10 @@
 //! The instruction-stream abstraction between workloads and the engine.
 //!
 //! A workload is an infinite generator of [`Op`]s — retired instructions with
-//! optional memory or I/O side effects. The engine pulls one op at a time per
-//! hardware thread; phase labels let samplers attribute counters to workload
-//! phases (paper Sec. IV.D).
+//! optional memory or I/O side effects. The engine pulls one [`OpBlock`] per
+//! scheduling quantum per hardware thread, then executes its ops in order;
+//! phase labels let samplers attribute counters to workload phases (paper
+//! Sec. IV.D).
 
 /// Kind of memory access an instruction performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -10,12 +10,12 @@
 //! obvious textbook implementation produces. These tests drive both through
 //! randomized address streams and compare step by step, so any divergence
 //! reports the exact operation index where the optimized structure went
-//! wrong.
+//! wrong. `Tlb::access` and `CacheHierarchy::access` are the exact calls the
+//! engine makes for every demand access.
 
 use memsense_sim::cache::{CacheHierarchy, HitLevel, Lookup, SetAssocCache};
 use memsense_sim::config::{CacheConfig, SimConfig};
 use memsense_sim::tlb::{Tlb, TlbConfig};
-use memsense_sim::trace::{AccessKind, Op};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -316,112 +316,6 @@ proptest! {
         let (llc_hits, llc_misses) = fast.llc_stats();
         prop_assert_eq!(llc_hits, reference.llc.hits);
         prop_assert_eq!(llc_misses, reference.llc.misses);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Block-vs-scalar: the batched entry points the blocked engine pipeline
-// uses must replay the exact per-op sequences — outcomes and counters —
-// whatever the block boundaries.
-// ---------------------------------------------------------------------------
-
-/// A random op mix for the block entry points: loads (dependent and not),
-/// stores, non-temporal stores, pure compute, and idle intervals.
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..8, 0u64..(1 << 16), 1u32..16).prop_map(|(kind, addr, cycles)| match kind {
-        0 => Op::idle(cycles),
-        1 => Op::compute(),
-        2 => Op::nt_store(addr),
-        3 => Op::store(addr),
-        4 => Op::dependent_load(addr),
-        _ => Op::load(addr),
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn cache_access_block_matches_scalar_sequence(
-        ops in collection::vec((0u64..(1 << 14), any::<bool>()), 1..600),
-        block in 1usize..48,
-    ) {
-        let config = small_cache_config();
-        let mut blocked = SetAssocCache::new(&config, 64);
-        let mut scalar = SetAssocCache::new(&config, 64);
-        let mut got: Vec<Lookup> = Vec::new();
-        for chunk in ops.chunks(block) {
-            blocked.access_block(chunk, &mut got);
-        }
-        let want: Vec<Lookup> = ops.iter().map(|&(a, w)| scalar.access(a, w)).collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(
-            (blocked.hits(), blocked.misses()),
-            (scalar.hits(), scalar.misses())
-        );
-    }
-
-    #[test]
-    fn tlb_access_block_matches_scalar_sequence(
-        ops in collection::vec(op_strategy(), 1..600),
-        entries in 1usize..12,
-        block in 1usize..48,
-    ) {
-        let config = TlbConfig { entries, page_shift: 12, walk_cycles: 30 };
-        let mut blocked = Tlb::new(config);
-        let mut scalar = Tlb::new(config);
-        let mut got: Vec<bool> = Vec::new();
-        let mut chunk_out = Vec::new();
-        for chunk in ops.chunks(block) {
-            blocked.access_block(chunk, &mut chunk_out);
-            got.extend_from_slice(&chunk_out);
-        }
-        let mut want = Vec::new();
-        for op in &ops {
-            if op.idle {
-                continue;
-            }
-            if let Some((addr, _)) = op.access {
-                want.push(scalar.access(addr));
-            }
-        }
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(blocked.stats(), scalar.stats());
-    }
-
-    #[test]
-    fn hierarchy_l1_block_pass_matches_scalar_l1(
-        ops in collection::vec(op_strategy(), 1..400),
-        block in 1usize..48,
-    ) {
-        let config = SimConfig::xeon_like(1);
-        let mut hierarchy = CacheHierarchy::new(&config);
-        let mut reference = RefCache::new(&config.l1, config.line_size);
-        let mut got: Vec<bool> = Vec::new();
-        let mut chunk_out = Vec::new();
-        for chunk in ops.chunks(block) {
-            hierarchy.l1_probe_block(chunk, &mut chunk_out);
-            got.extend_from_slice(&chunk_out);
-        }
-        // The L1 pass is a plain demand-access sequence over every non-idle,
-        // non-NT memory op: same filtering, same load/store classification,
-        // same hit/miss evolution as the reference L1 run per-op.
-        let mut want = Vec::new();
-        for op in &ops {
-            if op.idle {
-                continue;
-            }
-            if let Some((addr, kind)) = op.access {
-                if matches!(kind, AccessKind::NonTemporalStore) {
-                    continue;
-                }
-                let write = !matches!(kind, AccessKind::Load { .. });
-                want.push(reference.access(addr, write) == Lookup::Hit);
-            }
-        }
-        prop_assert_eq!(got, want);
-        // The pass touches L1 only: LLC counters must still be zero.
-        prop_assert_eq!(hierarchy.llc_stats(), (0, 0));
     }
 }
 
