@@ -6,7 +6,7 @@
 //! via inline assembly — no `libc`. All `unsafe` in the serve stack lives
 //! here, behind a safe RAII API:
 //!
-//! * [`Epoll`] — an epoll instance: register/modify/deregister interest for
+//! * [`Epoll`] — an epoll instance: register/deregister interest for
 //!   any [`AsRawFd`] type and wait for [`Event`]s. The fd is closed on drop.
 //! * [`EventFd`] — a nonblocking wakeup channel: any thread may
 //!   [`EventFd::notify`] to make a blocked [`Epoll::wait`] return.
@@ -35,7 +35,6 @@ pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: usize = 1;
 const EPOLL_CTL_DEL: usize = 2;
-const EPOLL_CTL_MOD: usize = 3;
 const EPOLL_CLOEXEC: usize = 0o2000000;
 const EFD_CLOEXEC: usize = 0o2000000;
 const EFD_NONBLOCK: usize = 0o4000;
@@ -225,15 +224,6 @@ impl Epoll {
     /// The underlying `epoll_ctl` failure (e.g. the fd is already added).
     pub fn add(&self, fd: &impl AsRawFd, token: u64, flags: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd.as_raw_fd(), token, flags)
-    }
-
-    /// Replaces the registered interest for `fd`.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `epoll_ctl` failure (e.g. the fd was never added).
-    pub fn modify(&self, fd: &impl AsRawFd, token: u64, flags: u32) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd.as_raw_fd(), token, flags)
     }
 
     /// Removes `fd` from the interest set. (Closing an fd removes it

@@ -51,30 +51,6 @@ pub struct CalibratedWorkload {
 }
 
 impl CalibratedWorkload {
-    /// Distribution-free bootstrap confidence interval on the blocking
-    /// factor (case resampling of the sweep points). With only eight sweep
-    /// points the normal-theory CI in [`CalibratedWorkload::bf_ci95`] can be
-    /// optimistic; the bootstrap interval is the robust cross-check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bootstrap failures (degenerate sweeps).
-    pub fn bf_bootstrap_ci95(
-        &self,
-        resamples: usize,
-        seed: u64,
-    ) -> Result<(f64, f64), ExperimentError> {
-        let xs: Vec<f64> = self
-            .samples
-            .iter()
-            .map(|s| s.measurement.latency_per_instruction)
-            .collect();
-        let ys: Vec<f64> = self.samples.iter().map(|s| s.measurement.cpi_eff).collect();
-        let b = memsense_stats::bootstrap_fit(&xs, &ys, resamples, 0.95, seed)
-            .map_err(|_| ExperimentError::FitFailed(self.workload.name()))?;
-        Ok(b.slope_ci)
-    }
-
     /// Converts the calibration into analytic-model parameters.
     ///
     /// # Errors
@@ -331,10 +307,6 @@ mod tests {
         let (lo, hi) = cal.bf_ci95;
         assert!(lo <= cal.bf && cal.bf <= hi);
         assert!(hi - lo < 0.2, "tight CI for a clean fit: [{lo}, {hi}]");
-        // The bootstrap interval agrees within reason with normal theory.
-        let (blo, bhi) = cal.bf_bootstrap_ci95(400, 9).unwrap();
-        assert!(blo <= cal.bf && cal.bf <= bhi, "bootstrap [{blo}, {bhi}]");
-        assert!(bhi - blo < 0.3, "bootstrap CI width [{blo}, {bhi}]");
     }
 
     #[test]

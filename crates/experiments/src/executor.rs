@@ -301,11 +301,6 @@ impl RunReport {
         }
     }
 
-    /// Total job failures across all stages.
-    pub fn failures(&self) -> usize {
-        self.stages.iter().map(|s| s.failures).sum()
-    }
-
     /// Renders the per-stage table (what `--report` prints).
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(
@@ -523,7 +518,6 @@ mod tests {
         assert_eq!(report.stages[0].jobs, 2);
         assert_eq!(report.stages[0].failures, 1);
         assert_eq!(report.stages[1].failures, 1);
-        assert_eq!(report.failures(), 2);
         let table = report.to_table().to_ascii();
         assert!(table.contains("fig8") && table.contains("tab7"));
         let json = report.to_json();

@@ -137,14 +137,3 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<(Report, CallGraph)> {
         graph,
     ))
 }
-
-/// Lints every `.rs` file under `root` and assembles the [`Report`]
-/// (without the graph; see [`analyze_workspace`]).
-///
-/// # Errors
-///
-/// Returns an I/O error if the tree cannot be walked or a file cannot be
-/// read as UTF-8 text.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    analyze_workspace(root).map(|(report, _)| report)
-}

@@ -37,6 +37,15 @@ automatically. Baseline entries key on (rule, file, symbol), carry a mandatory
 justification, and may only shrink: findings beyond an entry's count fail the
 run, and so do stale entries whose debt no longer exists.
 
+Unused public API: each --graph node has a `role` (lib, bin, test, bench,
+example), `public`, `test` (inside #[cfg(test)]) and `calls` (resolved callee
+ids). A public, non-test `lib` node that no non-test, non-example node calls
+has no production caller. Count them with jq (drop `| length` to list them):
+    jq '[.nodes[] | select(.role != \"test\" and .role != \"example\" and (.test | not)) | .calls[]] as $live | [.nodes[] | select(.role == \"lib\" and .public and (.test | not)) | .id | select(. as $id | $live | index($id) | not)] | length' graph.json
+Method calls resolve by name and only to types the calling file mentions, so
+some real calls stay unresolved (e.g. `Report::human`): confirm each hit with
+grep before deleting it.
+
 EXIT CODES:
     0  clean tree (modulo the baseline)
     1  one or more diagnostics, or stale baseline entries

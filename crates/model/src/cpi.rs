@@ -64,13 +64,9 @@ pub fn blocking_factor(
     1.0 / mlp - cpi_cache * overlap_cm / (mpi * miss_penalty.value())
 }
 
-/// The large-miss-penalty limit of Eq. 3: `BF ≈ 1 / MLP`.
-pub fn blocking_factor_from_mlp(mlp: f64) -> f64 {
-    1.0 / mlp
-}
-
-/// Inverse of [`blocking_factor_from_mlp`]; returns `f64::INFINITY` when the
-/// blocking factor is zero (a fully overlapped, core-bound workload).
+/// Inverts the large-miss-penalty limit of Eq. 3 (`BF ≈ 1 / MLP`); returns
+/// `f64::INFINITY` when the blocking factor is zero (a fully overlapped,
+/// core-bound workload).
 pub fn mlp_from_blocking_factor(bf: f64) -> f64 {
     if bf == 0.0 {
         f64::INFINITY
@@ -171,8 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn mlp_bf_roundtrip() {
-        assert_eq!(blocking_factor_from_mlp(5.0), 0.2);
+    fn mlp_is_reciprocal_of_bf() {
         assert_eq!(mlp_from_blocking_factor(0.2), 5.0);
         assert!(mlp_from_blocking_factor(0.0).is_infinite());
     }

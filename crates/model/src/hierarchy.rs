@@ -104,11 +104,6 @@ impl TieredMemory {
         ])
     }
 
-    /// The tiers in order.
-    pub fn tiers(&self) -> &[MemoryTier] {
-        &self.tiers
-    }
-
     /// The average miss latency across tiers:
     /// `Σ hit_fraction_k × latency_k`.
     pub fn average_latency(&self) -> Nanoseconds {
@@ -216,22 +211,6 @@ pub fn break_even_near_hit(
     Ok(Some(h.clamp(0.0, 1.0)))
 }
 
-/// Sec. VII's prefetching observation, quantified: the blocking-factor
-/// reduction required for a slower memory to break even with a faster one.
-/// Solves `CPI_cache + MPI × MP_slow × BF' = CPI_cache + MPI × MP_fast × BF`
-/// for `BF'`.
-pub fn break_even_blocking_factor(
-    workload: &WorkloadParams,
-    fast_latency: Nanoseconds,
-    slow_latency: Nanoseconds,
-    clock: GigaHertz,
-) -> f64 {
-    if slow_latency.value() == 0.0 {
-        return workload.bf;
-    }
-    workload.bf * fast_latency.to_cycles(clock).value() / slow_latency.to_cycles(clock).value()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,32 +309,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(h, Some(0.0));
-    }
-
-    #[test]
-    fn break_even_bf_scales_with_latency_ratio() {
-        let bf = break_even_blocking_factor(
-            &big(),
-            Nanoseconds(75.0),
-            Nanoseconds(150.0),
-            GigaHertz(2.7),
-        );
-        assert!((bf - big().bf / 2.0).abs() < 1e-12);
-        // Verify equality of CPIs with the reduced BF.
-        let clock = GigaHertz(2.7);
-        let fast_cpi = crate::cpi::effective_cpi_raw(
-            big().cpi_cache,
-            big().mpi(),
-            Nanoseconds(75.0).to_cycles(clock),
-            big().bf,
-        );
-        let slow_cpi = crate::cpi::effective_cpi_raw(
-            big().cpi_cache,
-            big().mpi(),
-            Nanoseconds(150.0).to_cycles(clock),
-            bf,
-        );
-        assert!((fast_cpi - slow_cpi).abs() < 1e-12);
     }
 
     #[test]

@@ -275,31 +275,6 @@ pub fn equivalence(
     })
 }
 
-/// A class with its Fig. 8 bandwidth sweep and Fig. 10 latency sweep.
-pub type ClassSweeps = (WorkloadParams, Vec<SweepPoint>, Vec<SweepPoint>);
-
-/// Convenience: runs Fig. 8–11 sweeps for the three Tab. 6 classes.
-///
-/// Returns `(class, bandwidth_sweep, latency_sweep)` triples in the paper's
-/// order (enterprise, big data, HPC).
-///
-/// # Errors
-///
-/// Propagates solver errors.
-pub fn class_sweeps(
-    baseline: &SystemConfig,
-    curve: &QueueingCurve,
-) -> Result<Vec<ClassSweeps>, ModelError> {
-    WorkloadParams::all_classes()
-        .into_iter()
-        .map(|class| {
-            let bw = bandwidth_sweep(&class, baseline, curve, &default_bandwidth_deltas())?;
-            let lat = latency_sweep(&class, baseline, curve, &default_latency_steps())?;
-            Ok((class, bw, lat))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,16 +446,5 @@ mod tests {
             "big data values bandwidth more in latency terms"
         );
         assert_eq!(hpc.latency_equivalent_of_bandwidth, None);
-    }
-
-    #[test]
-    fn class_sweeps_cover_three_classes() {
-        let (sys, curve) = setup();
-        let all = class_sweeps(&sys, &curve).unwrap();
-        assert_eq!(all.len(), 3);
-        for (_, bw, lat) in &all {
-            assert_eq!(bw.len(), default_bandwidth_deltas().len());
-            assert_eq!(lat.len(), default_latency_steps().len());
-        }
     }
 }

@@ -52,22 +52,6 @@ impl Regime {
             Regime::BandwidthBound => "bandwidth_bound",
         }
     }
-
-    /// Parses a regime from its [`token`](Regime::token) (or the display
-    /// text), case-insensitively and tolerant of `-`/`_`/space separators.
-    pub fn from_token(s: &str) -> Option<Regime> {
-        match s
-            .trim()
-            .to_lowercase()
-            .replace(['-', '_', ' '], "")
-            .as_str()
-        {
-            "corebound" => Some(Regime::CoreBound),
-            "latencylimited" => Some(Regime::LatencyLimited),
-            "bandwidthbound" => Some(Regime::BandwidthBound),
-            _ => None,
-        }
-    }
 }
 
 /// The converged operating point for a workload on a system.
@@ -92,12 +76,6 @@ pub struct SolvedCpi {
 }
 
 impl SolvedCpi {
-    /// Instruction throughput relative to another operating point
-    /// (`other.cpi / self.cpi`); values above 1.0 mean `self` is faster.
-    pub fn speedup_over(&self, other: &SolvedCpi) -> f64 {
-        other.cpi_eff / self.cpi_eff
-    }
-
     /// Decomposes the CPI into the Emma-style stack the paper builds on:
     /// infinite-cache CPI + compulsory-latency stall + queueing stall
     /// (+ bandwidth-wall residual when the Eq. 4 ceiling binds).
@@ -440,7 +418,7 @@ mod tests {
         let s0 = solve_cpi(&w, &base, &curve()).unwrap();
         let s1 = solve_cpi(&w, &wide, &curve()).unwrap();
         assert!(s1.cpi_eff < s0.cpi_eff);
-        assert!(s1.speedup_over(&s0) > 1.5);
+        assert!(s0.cpi_eff / s1.cpi_eff > 1.5);
     }
 
     #[test]
@@ -594,32 +572,5 @@ mod tests {
         assert!(delta.latency_limited >= 1);
         assert!(delta.bandwidth_bound >= 1);
         assert!(delta.iterations > 0, "bisection iterations recorded");
-    }
-
-    #[test]
-    fn regime_tokens_round_trip() {
-        for regime in [
-            Regime::CoreBound,
-            Regime::LatencyLimited,
-            Regime::BandwidthBound,
-        ] {
-            assert_eq!(Regime::from_token(regime.token()), Some(regime));
-            assert_eq!(Regime::from_token(&regime.to_string()), Some(regime));
-        }
-        assert_eq!(
-            Regime::from_token("latency_limited"),
-            Some(Regime::LatencyLimited)
-        );
-        assert_eq!(Regime::from_token("io bound"), None);
-    }
-
-    #[test]
-    fn speedup_over_is_ratio() {
-        let sys = SystemConfig::paper_baseline();
-        let c = curve();
-        let a = solve_cpi(&WorkloadParams::enterprise_class(), &sys, &c).unwrap();
-        let mut b = a.clone();
-        b.cpi_eff = a.cpi_eff * 2.0;
-        assert!((a.speedup_over(&b) - 2.0).abs() < 1e-12);
     }
 }

@@ -219,20 +219,6 @@ impl SystemConfig {
         Ok(self)
     }
 
-    /// Returns a copy with a different bandwidth efficiency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidParameter`] for an efficiency outside
-    /// `(0, 1]`.
-    pub fn with_efficiency(mut self, efficiency: f64) -> Result<Self, ModelError> {
-        if !(efficiency > 0.0 && efficiency <= 1.0) {
-            return Err(ModelError::InvalidParameter("efficiency must be in (0, 1]"));
-        }
-        self.efficiency = efficiency;
-        Ok(self)
-    }
-
     /// Returns a copy whose *effective* bandwidth is scaled so that the
     /// per-core bandwidth changes by `delta` (possibly negative). Used to
     /// walk the x-axis of Fig. 8 without enumerating channel/speed variants.
@@ -313,8 +299,7 @@ mod tests {
         assert!(ok.clone().with_core_clock(GigaHertz(-1.0)).is_err());
         assert!(ok.clone().with_unloaded_latency(Nanoseconds(-5.0)).is_err());
         assert!(ok.clone().with_channels(0).is_err());
-        assert!(ok.clone().with_channel_speed(0.0).is_err());
-        assert!(ok.with_efficiency(0.0).is_err());
+        assert!(ok.with_channel_speed(0.0).is_err());
     }
 
     #[test]

@@ -32,6 +32,22 @@ struct EndpointStats {
     next: usize,
 }
 
+impl EndpointStats {
+    fn record(&mut self, status: u16, elapsed: Duration) {
+        self.requests += 1;
+        if status >= 400 {
+            self.errors += 1;
+        }
+        let ms = elapsed.as_secs_f64() * 1e3;
+        if self.samples.len() < MAX_SAMPLES_PER_ENDPOINT {
+            self.samples.push(ms);
+        } else {
+            self.samples[self.next] = ms;
+            self.next = (self.next + 1) % MAX_SAMPLES_PER_ENDPOINT;
+        }
+    }
+}
+
 /// Thread-safe registry of per-endpoint request telemetry.
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -52,27 +68,17 @@ impl Metrics {
     }
 
     /// Records one handled request for `endpoint` with the given response
-    /// `status` and service time.
+    /// `status` and service time. Only an endpoint's first request
+    /// allocates (its key); later ones update the entry in place.
     pub fn record(&self, endpoint: &str, status: u16, elapsed: Duration) {
         let mut endpoints = self.lock();
-        let stats = endpoints.entry(endpoint.to_string()).or_default();
-        stats.requests += 1;
-        if status >= 400 {
-            stats.errors += 1;
+        match endpoints.get_mut(endpoint) {
+            Some(stats) => stats.record(status, elapsed),
+            None => endpoints
+                .entry(endpoint.to_string())
+                .or_default()
+                .record(status, elapsed),
         }
-        let ms = elapsed.as_secs_f64() * 1e3;
-        if stats.samples.len() < MAX_SAMPLES_PER_ENDPOINT {
-            stats.samples.push(ms);
-        } else {
-            stats.samples[stats.next] = ms;
-            stats.next = (stats.next + 1) % MAX_SAMPLES_PER_ENDPOINT;
-        }
-    }
-
-    /// Total requests recorded across all endpoints.
-    pub fn total_requests(&self) -> u64 {
-        let endpoints = self.lock();
-        endpoints.values().map(|s| s.requests).sum()
     }
 
     /// Renders the registry (plus `cache`, single-flight, and stream-session
@@ -164,7 +170,6 @@ mod tests {
         }
         metrics.record("/v1/solve", 400, Duration::from_millis(100));
         metrics.record("/healthz", 200, Duration::from_micros(50));
-        assert_eq!(metrics.total_requests(), 12);
 
         let json = metrics.to_json(
             CacheStats::default(),

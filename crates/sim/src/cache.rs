@@ -223,16 +223,6 @@ impl SetAssocCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Hit ratio in `[0, 1]`; 0 when never accessed.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Where in the hierarchy an access was satisfied.
@@ -473,15 +463,6 @@ mod tests {
                 writeback: Some(0x100)
             }
         );
-    }
-
-    #[test]
-    fn hit_ratio() {
-        let mut c = small_cache();
-        assert_eq!(c.hit_ratio(), 0.0);
-        c.access(0, false);
-        c.access(0, false);
-        assert_eq!(c.hit_ratio(), 0.5);
     }
 
     #[test]

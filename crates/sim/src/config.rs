@@ -359,11 +359,6 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Converts core cycles to nanoseconds at the configured clock.
-    pub fn cycles_to_ns(&self, cycles: f64) -> f64 {
-        cycles / self.core_clock_ghz
-    }
-
     /// Converts nanoseconds to core cycles at the configured clock.
     pub fn ns_to_cycles(&self, ns: f64) -> f64 {
         ns * self.core_clock_ghz
@@ -477,10 +472,9 @@ mod tests {
     }
 
     #[test]
-    fn cycle_ns_roundtrip() {
+    fn ns_to_cycles_scales_by_clock() {
         let c = SimConfig::default().with_core_clock(2.0);
         assert_eq!(c.ns_to_cycles(10.0), 20.0);
-        assert_eq!(c.cycles_to_ns(20.0), 10.0);
     }
 
     #[test]

@@ -416,11 +416,6 @@ impl Machine {
         total
     }
 
-    /// Per-socket memory statistics.
-    pub fn socket_memory_stats(&self) -> Vec<crate::mem::MemStats> {
-        self.memory.iter().map(|m| m.stats()).collect()
-    }
-
     /// Instructions retired per phase label, summed across threads — the
     /// empirical Sec. IV.D phase weights.
     pub fn phase_instruction_counts(&self) -> BTreeMap<String, u64> {
@@ -1186,26 +1181,6 @@ mod tests {
         assert!(
             interleaved > local + 15.0,
             "interleaved {interleaved} vs local {local}"
-        );
-    }
-
-    #[test]
-    fn numa_socket_stats_split() {
-        use crate::config::NumaSimConfig;
-        let cfg = SimConfig::xeon_like(4).with_numa(NumaSimConfig::dual_socket(true));
-        let streams: Vec<BoxedStream> = (0..4)
-            .map(|_| {
-                Box::new(PatternStream::new(vec![Op::nt_store(0), Op::compute()])) as BoxedStream
-            })
-            .collect();
-        let mut m = Machine::new(cfg, streams).unwrap();
-        m.run_ops(2_000);
-        let per_socket = m.socket_memory_stats();
-        assert_eq!(per_socket.len(), 2);
-        let total = m.memory_stats();
-        assert_eq!(
-            per_socket.iter().map(|s| s.writes).sum::<u64>(),
-            total.writes
         );
     }
 

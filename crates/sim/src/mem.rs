@@ -225,15 +225,6 @@ impl MemoryController {
     pub fn peak_bandwidth_gbps(&self) -> f64 {
         self.config.peak_bandwidth_gbps()
     }
-
-    /// Delivered bandwidth over a window (GB/s), given byte and time deltas.
-    pub fn bandwidth_gbps(bytes: u64, window_ns: f64) -> f64 {
-        if window_ns <= 0.0 {
-            0.0
-        } else {
-            bytes as f64 / window_ns
-        }
-    }
 }
 
 #[cfg(test)]
@@ -449,11 +440,5 @@ mod tests {
             (0.01..0.10).contains(&loss),
             "refresh costs a few percent of bandwidth: {loss}"
         );
-    }
-
-    #[test]
-    fn bandwidth_helper() {
-        assert_eq!(MemoryController::bandwidth_gbps(1000, 0.0), 0.0);
-        assert!((MemoryController::bandwidth_gbps(64, 10.0) - 6.4).abs() < 1e-12);
     }
 }

@@ -26,7 +26,6 @@ pub struct StreamPrefetcher {
     streams: Vec<Stream>,
     line_shift: u32,
     clock: u64,
-    issued: u64,
 }
 
 impl StreamPrefetcher {
@@ -37,7 +36,6 @@ impl StreamPrefetcher {
             streams: Vec::with_capacity(config.streams),
             line_shift: line_size.trailing_zeros(),
             clock: 0,
-            issued: 0,
         }
     }
 
@@ -89,7 +87,6 @@ impl StreamPrefetcher {
                     }
                     out.push(target << shift);
                 }
-                self.issued += out.len() as u64;
             }
             return;
         }
@@ -113,11 +110,6 @@ impl StreamPrefetcher {
             confidence: 0,
             last_use: self.clock,
         });
-    }
-
-    /// Total prefetches issued.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 }
 
@@ -143,7 +135,6 @@ mod tests {
         );
         let out = p.on_miss(0x0080);
         assert_eq!(out, vec![0x00c0, 0x0100, 0x0140, 0x0180]);
-        assert_eq!(p.issued(), 4);
     }
 
     #[test]
@@ -185,7 +176,6 @@ mod tests {
         p.on_miss(0x0000);
         p.on_miss(0x0040);
         assert!(p.on_miss(0x0080).is_empty());
-        assert_eq!(p.issued(), 0);
     }
 
     #[test]

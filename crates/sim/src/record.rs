@@ -2,10 +2,10 @@
 //!
 //! The paper's methodology requires running the *same* workload at many
 //! operating points (frequency × memory-speed sweeps). For generated
-//! workloads that is guaranteed by seeding; [`Recorder`] and [`ReplayStream`]
-//! extend the guarantee to arbitrary streams by capturing a finite op trace
-//! once and replaying it (looped) everywhere — also useful for regression
-//! corpora and for feeding externally-captured traces into the simulator.
+//! workloads that is guaranteed by seeding; [`Trace::record`] and
+//! [`ReplayStream`] extend the guarantee to any stream by capturing a finite
+//! op trace once and replaying it (looped) everywhere. The `phase_profiling`
+//! example records a multi-phase job this way.
 
 use std::sync::Arc;
 
@@ -36,19 +36,6 @@ impl Trace {
         }
     }
 
-    /// Builds a trace directly from ops (e.g. parsed from an external file).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty.
-    pub fn from_ops(ops: Vec<Op>, io_bytes_per_instruction: f64) -> Self {
-        assert!(!ops.is_empty(), "trace must contain at least one op");
-        Trace {
-            ops: ops.into(),
-            io_bytes_per_instruction,
-        }
-    }
-
     /// Number of recorded ops.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -57,11 +44,6 @@ impl Trace {
     /// Whether the trace is empty (never true for constructed traces).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// The recorded ops.
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
     }
 
     /// Instructions (non-idle ops) in the trace.
@@ -82,140 +64,6 @@ impl Trace {
             io_bytes_per_instruction: self.io_bytes_per_instruction,
             next: 0,
         }
-    }
-}
-
-/// Error from parsing a textual trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Description of the problem.
-    pub message: String,
-}
-
-impl core::fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "trace parse error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
-
-impl Trace {
-    /// Serializes the trace to a simple line-oriented text format:
-    ///
-    /// ```text
-    /// # memsense trace v1
-    /// io 0.07
-    /// c 0          # compute, extra cycles
-    /// i 120        # idle cycles
-    /// l 1a2b40     # independent load (hex address)
-    /// d 1a2b80     # dependent load
-    /// s 40         # store
-    /// n 3000       # non-temporal store
-    /// ```
-    ///
-    /// Extra compute cycles on memory ops are appended as a second field.
-    pub fn to_text(&self) -> String {
-        use crate::trace::AccessKind;
-        let mut out = String::with_capacity(self.ops.len() * 10 + 32);
-        out.push_str("# memsense trace v1\n");
-        out.push_str(&format!("io {}\n", self.io_bytes_per_instruction));
-        for op in self.ops.iter() {
-            let line = if op.idle {
-                format!("i {}", op.extra_cycles)
-            } else {
-                match op.access {
-                    None => format!("c {}", op.extra_cycles),
-                    Some((addr, AccessKind::Load { dependent: false })) => {
-                        format!("l {addr:x} {}", op.extra_cycles)
-                    }
-                    Some((addr, AccessKind::Load { dependent: true })) => {
-                        format!("d {addr:x} {}", op.extra_cycles)
-                    }
-                    Some((addr, AccessKind::Store)) => format!("s {addr:x} {}", op.extra_cycles),
-                    Some((addr, AccessKind::NonTemporalStore)) => {
-                        format!("n {addr:x} {}", op.extra_cycles)
-                    }
-                }
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a trace from the [`Trace::to_text`] format. Blank lines and
-    /// `#` comments are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseTraceError`] describing the first malformed line, or
-    /// an empty trace.
-    pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
-        let mut ops = Vec::new();
-        let mut io = 0.0f64;
-        for (idx, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |message: &str| ParseTraceError {
-                line: idx + 1,
-                message: message.to_string(),
-            };
-            let mut fields = line.split_whitespace();
-            let kind = fields.next().ok_or_else(|| err("empty record"))?;
-            match kind {
-                "io" => {
-                    io = fields
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("io needs a rate"))?;
-                }
-                "c" | "i" => {
-                    let cycles: u32 = fields
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| err("expected cycle count"))?;
-                    ops.push(if kind == "c" {
-                        Op::compute_heavy(cycles)
-                    } else {
-                        Op::idle(cycles)
-                    });
-                }
-                "l" | "d" | "s" | "n" => {
-                    let addr = fields
-                        .next()
-                        .and_then(|v| u64::from_str_radix(v, 16).ok())
-                        .ok_or_else(|| err("expected hex address"))?;
-                    let extra: u32 = match fields.next() {
-                        Some(v) => v.parse().map_err(|_| err("bad extra cycles"))?,
-                        None => 0,
-                    };
-                    let op = match kind {
-                        "l" => Op::load(addr),
-                        "d" => Op::dependent_load(addr),
-                        "s" => Op::store(addr),
-                        _ => Op::nt_store(addr),
-                    };
-                    ops.push(op.with_extra_cycles(extra));
-                }
-                other => return Err(err(&format!("unknown record kind: {other}"))),
-            }
-        }
-        if ops.is_empty() {
-            return Err(ParseTraceError {
-                line: 0,
-                message: "trace contains no ops".to_string(),
-            });
-        }
-        Ok(Trace::from_ops(ops, io))
     }
 }
 
@@ -244,68 +92,10 @@ impl InstructionStream for ReplayStream {
     }
 }
 
-/// Wraps a stream, recording every op it yields while passing it through —
-/// capture a trace *and* run it in the same simulation.
-#[derive(Debug)]
-pub struct Recorder<S> {
-    inner: S,
-    recorded: Vec<Op>,
-    limit: usize,
-}
-
-impl<S: InstructionStream> Recorder<S> {
-    /// Wraps `inner`, recording at most `limit` ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn new(inner: S, limit: usize) -> Self {
-        assert!(limit > 0, "recorder limit must be positive");
-        Recorder {
-            inner,
-            recorded: Vec::with_capacity(limit.min(1 << 20)),
-            limit,
-        }
-    }
-
-    /// Finalizes into the captured trace (everything seen so far).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no ops were recorded yet.
-    pub fn into_trace(self) -> Trace {
-        let io = self.inner.io_bytes_per_instruction();
-        Trace::from_ops(self.recorded, io)
-    }
-
-    /// Ops captured so far.
-    pub fn recorded_len(&self) -> usize {
-        self.recorded.len()
-    }
-}
-
-impl<S: InstructionStream> InstructionStream for Recorder<S> {
-    fn next_op(&mut self) -> Op {
-        let op = self.inner.next_op();
-        if self.recorded.len() < self.limit {
-            self.recorded.push(op);
-        }
-        op
-    }
-
-    fn phase(&self) -> &str {
-        self.inner.phase()
-    }
-
-    fn io_bytes_per_instruction(&self) -> f64 {
-        self.inner.io_bytes_per_instruction()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::PatternStream;
+    use crate::trace::{BoxedStream, PatternStream};
 
     fn pattern() -> PatternStream {
         PatternStream::new(vec![Op::compute(), Op::load(64), Op::store(4096)]).with_io_rate(1.5)
@@ -330,7 +120,8 @@ mod tests {
 
     #[test]
     fn replay_loops() {
-        let trace = Trace::from_ops(vec![Op::compute(), Op::load(0)], 0.0);
+        let mut src = PatternStream::new(vec![Op::compute(), Op::load(0)]);
+        let trace = Trace::record(&mut src, 2);
         let mut r = trace.replay();
         assert_eq!(r.next_op(), Op::compute());
         assert_eq!(r.next_op(), Op::load(0));
@@ -338,85 +129,45 @@ mod tests {
     }
 
     #[test]
-    fn recorder_passthrough_and_capture() {
-        let mut rec = Recorder::new(pattern(), 5);
-        let seen: Vec<Op> = (0..8).map(|_| rec.next_op()).collect();
-        assert_eq!(rec.recorded_len(), 5, "capped at limit");
-        let trace = rec.into_trace();
-        assert_eq!(trace.ops(), &seen[..5]);
-        assert_eq!(trace.replay().io_bytes_per_instruction(), 1.5);
-    }
-
-    #[test]
-    fn replayed_trace_drives_machine_deterministically() {
+    fn replayed_trace_drives_machine_like_the_live_stream() {
         use crate::config::SimConfig;
         use crate::engine::Machine;
-        let mut src = pattern();
-        let trace = Trace::record(&mut src, 64);
-        let run = |t: &Trace| {
-            let cfg = SimConfig::xeon_like(1);
-            let mut m = Machine::new(cfg, vec![Box::new(t.replay())]).unwrap();
+        // Ops of unequal cost, so any shift in the replayed sequence moves
+        // `busy_ns`; the I/O rate shows up as DMA writes. The trace holds a
+        // whole number of the 5-op periods, so the looped replay yields
+        // exactly the live stream's op sequence.
+        let live = || {
+            PatternStream::new(vec![
+                Op::compute_heavy(30),
+                Op::load(0x10_0000),
+                Op::store(0x20_0000),
+                Op::dependent_load(0x40_0000),
+                Op::idle(200),
+            ])
+            .with_io_rate(1.5)
+        };
+        let trace = Trace::record(&mut live(), 5 * 16);
+        let run = |stream: BoxedStream| {
+            let mut m = Machine::new(SimConfig::xeon_like(1), vec![stream]).unwrap();
             m.run_ops(1_000);
             let c = m.total_counters();
-            (c.instructions, c.busy_ns.to_bits())
+            (c.instructions, c.busy_ns.to_bits(), m.memory_stats())
         };
-        assert_eq!(run(&trace), run(&trace));
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_trace() {
-        let mut src = pattern();
-        let trace = Trace::record(&mut src, 24);
-        let text = trace.to_text();
-        let parsed = Trace::from_text(&text).unwrap();
-        assert_eq!(parsed, trace);
-    }
-
-    #[test]
-    fn text_roundtrip_all_op_kinds() {
-        let trace = Trace::from_ops(
-            vec![
-                Op::compute(),
-                Op::compute_heavy(7),
-                Op::idle(100),
-                Op::load(0x1a2b40),
-                Op::dependent_load(0xdead00).with_extra_cycles(2),
-                Op::store(0x40),
-                Op::nt_store(0x3000),
-            ],
-            0.5,
-        );
-        let parsed = Trace::from_text(&trace.to_text()).unwrap();
-        assert_eq!(parsed, trace);
-    }
-
-    #[test]
-    fn text_parser_rejects_garbage() {
-        let err = Trace::from_text("q 12\n").unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.message.contains("unknown record"));
-        let err = Trace::from_text("l zz\n").unwrap_err();
-        assert!(err.message.contains("hex"));
-        let err = Trace::from_text("# just a comment\n").unwrap_err();
-        assert!(err.message.contains("no ops"));
-    }
-
-    #[test]
-    fn text_parser_skips_comments_and_blanks() {
-        let t = Trace::from_text("# header\n\nc 0  # trailing\n\nl ff\n").unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.ops()[1], Op::load(0xff));
+        let replayed = run(Box::new(trace.replay()));
+        assert!(replayed.0 > 0 && replayed.2.write_bytes > 0);
+        assert_eq!(replayed, run(Box::new(live())));
     }
 
     #[test]
     #[should_panic(expected = "at least one op")]
     fn empty_trace_rejected() {
-        let _ = Trace::from_ops(vec![], 0.0);
+        let _ = Trace::record(&mut pattern(), 0);
     }
 
     #[test]
     fn idle_ops_not_counted_as_instructions() {
-        let trace = Trace::from_ops(vec![Op::compute(), Op::idle(10)], 0.0);
+        let mut src = PatternStream::new(vec![Op::compute(), Op::idle(10)]);
+        let trace = Trace::record(&mut src, 2);
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.instructions(), 1);
     }

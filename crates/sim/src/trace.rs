@@ -103,12 +103,6 @@ impl Op {
             idle: false,
         }
     }
-
-    /// Attaches extra compute cycles to any op.
-    pub fn with_extra_cycles(mut self, extra: u32) -> Self {
-        self.extra_cycles = extra;
-        self
-    }
 }
 
 /// A reusable block of ops plus run-length-encoded phase/I/O sidecars — the
@@ -344,13 +338,6 @@ mod tests {
         assert!(op.idle);
         assert_eq!(op.extra_cycles, 100);
         assert_eq!(op.access, None);
-    }
-
-    #[test]
-    fn with_extra_cycles_builder() {
-        let op = Op::load(64).with_extra_cycles(5);
-        assert_eq!(op.extra_cycles, 5);
-        assert!(op.access.is_some());
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Summary {
             self.stddev / self.mean.abs()
         }
     }
-
-    /// Range between the 95th and 5th percentile, a robust spread measure.
-    pub fn p90_range(&self) -> f64 {
-        self.p95 - self.p05
-    }
 }
 
 /// Computes the `p`-th percentile (0–100) of `samples` using linear
@@ -181,27 +176,6 @@ pub fn mean(samples: &[f64]) -> Result<f64, StatsError> {
     Ok(samples.iter().sum::<f64>() / samples.len() as f64)
 }
 
-/// Geometric mean of a sample of positive values.
-///
-/// Used for aggregating speedup ratios across workloads within a class.
-///
-/// # Errors
-///
-/// * [`StatsError::NotEnoughData`] when `samples` is empty.
-/// * [`StatsError::InvalidParameter`] when any sample is not positive.
-pub fn geometric_mean(samples: &[f64]) -> Result<f64, StatsError> {
-    if samples.is_empty() {
-        return Err(StatsError::NotEnoughData { needed: 1, got: 0 });
-    }
-    if samples.iter().any(|&x| x <= 0.0) {
-        return Err(StatsError::InvalidParameter(
-            "geometric mean requires positive samples",
-        ));
-    }
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    Ok((log_sum / samples.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,27 +237,8 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_of_ratios() {
-        let g = geometric_mean(&[2.0, 8.0]).unwrap();
-        assert!((g - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_rejects_nonpositive() {
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-        assert!(geometric_mean(&[-1.0]).is_err());
-        assert!(geometric_mean(&[]).is_err());
-    }
-
-    #[test]
     fn mean_empty_rejected() {
         assert!(mean(&[]).is_err());
-    }
-
-    #[test]
-    fn p90_range() {
-        let s = Summary::from_samples(&(0..101).map(f64::from).collect::<Vec<_>>()).unwrap();
-        assert!((s.p90_range() - 90.0).abs() < 1e-9);
     }
 
     // Golden pins for the small-n off-by-one class of bug: a p99 over fewer

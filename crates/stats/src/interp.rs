@@ -100,11 +100,6 @@ impl PiecewiseLinear {
         &self.knots
     }
 
-    /// Domain of the curve: `(min_x, max_x)`.
-    pub fn domain(&self) -> (f64, f64) {
-        (self.knots[0].0, self.knots[self.knots.len() - 1].0)
-    }
-
     /// Returns a new curve that is the pointwise mean of `curves`, sampled at
     /// the union of all their knot `x` positions. This is the "composite
     /// model" construction from the paper (Sec. VI.C.1).
@@ -218,10 +213,5 @@ mod tests {
         assert!(ramp().is_monotone_nondecreasing());
         let f = PiecewiseLinear::new(vec![(0.0, 1.0), (1.0, 0.0)]).unwrap();
         assert!(!f.is_monotone_nondecreasing());
-    }
-
-    #[test]
-    fn domain_reported() {
-        assert_eq!(ramp().domain(), (0.0, 1.0));
     }
 }

@@ -22,17 +22,6 @@ pub struct Clustering {
     pub iterations: usize,
 }
 
-impl Clustering {
-    /// Number of points assigned to each cluster.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.centroids.len()];
-        for &a in &self.assignments {
-            sizes[a] += 1;
-        }
-        sizes
-    }
-}
-
 /// Runs k-means (Lloyd's algorithm) on `points` with `k` clusters.
 ///
 /// Initialization is deterministic: a farthest-point ("k-means++ without the
@@ -118,32 +107,6 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, max_iter: usize) -> Result<Clusteri
         inertia,
         iterations,
     })
-}
-
-/// Computes the mean of a set of points (the "class mean" of Tab. 6).
-///
-/// # Errors
-///
-/// * [`StatsError::NotEnoughData`] if `points` is empty.
-/// * [`StatsError::InvalidParameter`] on mixed dimensionality.
-pub fn centroid(points: &[Vec<f64>]) -> Result<Vec<f64>, StatsError> {
-    if points.is_empty() {
-        return Err(StatsError::NotEnoughData { needed: 1, got: 0 });
-    }
-    let dim = points[0].len();
-    if points.iter().any(|p| p.len() != dim) {
-        return Err(StatsError::InvalidParameter("mixed dimensionality"));
-    }
-    let mut mean = vec![0.0; dim];
-    for p in points {
-        for d in 0..dim {
-            mean[d] += p[d];
-        }
-    }
-    for m in &mut mean {
-        *m /= points.len() as f64;
-    }
-    Ok(mean)
 }
 
 fn init_farthest_point(points: &[Vec<f64>], k: usize, dim: usize) -> Vec<Vec<f64>> {
@@ -245,7 +208,6 @@ mod tests {
         let pts = vec![vec![1.0], vec![2.0], vec![3.0]];
         let c = kmeans(&pts, 3, 50).unwrap();
         assert!(c.inertia < 1e-20);
-        assert_eq!(c.cluster_sizes(), vec![1, 1, 1]);
     }
 
     #[test]
@@ -279,19 +241,5 @@ mod tests {
         let a = kmeans(&pts, 3, 100).unwrap();
         let b = kmeans(&pts, 3, 100).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn centroid_mean() {
-        let m = centroid(&[vec![1.0, 0.0], vec![3.0, 4.0]]).unwrap();
-        assert_eq!(m, vec![2.0, 2.0]);
-        assert!(centroid(&[]).is_err());
-    }
-
-    #[test]
-    fn cluster_sizes_sum_to_n() {
-        let pts = three_blobs();
-        let c = kmeans(&pts, 3, 100).unwrap();
-        assert_eq!(c.cluster_sizes().iter().sum::<usize>(), pts.len());
     }
 }

@@ -12,7 +12,8 @@
 //!   Fig. 6 / Tab. 6.
 //! * [`interp`] — piecewise-linear interpolation used to build the composite
 //!   queueing-delay-vs-utilization curve of Fig. 7.
-//! * [`timeseries`] — sampled time series containers.
+//! * [`histogram`] — fixed-bin histograms with terminal sparklines, used to
+//!   show how per-interval samples (e.g. CPI) are distributed.
 //!
 //! # Examples
 //!
@@ -31,21 +32,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod descriptive;
 pub mod histogram;
 pub mod interp;
 pub mod kmeans;
 pub mod ols;
-pub mod timeseries;
 
-pub use bootstrap::{bootstrap_fit, BootstrapFit};
 pub use descriptive::Summary;
 pub use histogram::Histogram;
 pub use interp::PiecewiseLinear;
 pub use kmeans::{kmeans, Clustering};
 pub use ols::{fit_line, LineFit};
-pub use timeseries::TimeSeries;
 
 /// Error type for statistics routines.
 ///

@@ -15,7 +15,7 @@ use crate::StatsError;
 ///
 /// ```
 /// let fit = memsense_stats::fit_line(&[0.0, 1.0, 2.0], &[1.0, 2.0, 3.0]).unwrap();
-/// assert!((fit.predict(3.0) - 4.0).abs() < 1e-12);
+/// assert!((fit.slope - 1.0).abs() < 1e-12 && (fit.intercept - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineFit {
@@ -36,22 +36,12 @@ pub struct LineFit {
 }
 
 impl LineFit {
-    /// Evaluates the fitted line at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
-    }
-
     /// Approximate 95% confidence interval on the slope
     /// (`slope ± 1.96 × stderr`; normal approximation, adequate for the
     /// 8-point calibration sweeps).
     pub fn slope_ci95(&self) -> (f64, f64) {
         let half = 1.96 * self.slope_stderr;
         (self.slope - half, self.slope + half)
-    }
-
-    /// Returns the residual `y - predict(x)` for an observation.
-    pub fn residual(&self, x: f64, y: f64) -> f64 {
-        y - self.predict(x)
     }
 }
 
@@ -176,50 +166,6 @@ pub fn fit_line_weighted(
     })
 }
 
-/// Pearson correlation coefficient between two equal-length samples.
-///
-/// # Errors
-///
-/// * [`StatsError::LengthMismatch`] for unequal lengths.
-/// * [`StatsError::NotEnoughData`] for fewer than two points.
-/// * [`StatsError::DegenerateInput`] if either sample has zero variance.
-///
-/// # Examples
-///
-/// ```
-/// let r = memsense_stats::ols::pearson(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
-/// assert!((r - 1.0).abs() < 1e-12);
-/// ```
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Result<f64, StatsError> {
-    if xs.len() != ys.len() {
-        return Err(StatsError::LengthMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    if xs.len() < 2 {
-        return Err(StatsError::NotEnoughData {
-            needed: 2,
-            got: xs.len(),
-        });
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    let mut sxy = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        sxx += (x - mx) * (x - mx);
-        syy += (y - my) * (y - my);
-        sxy += (x - mx) * (y - my);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(StatsError::DegenerateInput);
-    }
-    Ok(sxy / (sxx * syy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,20 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn pearson_perfect_negative() {
-        let r = pearson(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]).unwrap();
-        assert!((r + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_zero_variance_rejected() {
-        assert_eq!(
-            pearson(&[1.0, 1.0], &[1.0, 2.0]),
-            Err(StatsError::DegenerateInput)
-        );
-    }
-
-    #[test]
     fn slope_ci_contains_true_slope_for_noisy_data() {
         let xs: Vec<f64> = (0..24).map(|i| i as f64 / 4.0).collect();
         let noise = [0.05, -0.04, 0.03, -0.02, 0.01, -0.05];
@@ -347,12 +279,5 @@ mod tests {
         let fit = fit_line(&[0.0, 1.0, 2.0], &[1.0, 2.0, 3.0]).unwrap();
         let (lo, hi) = fit.slope_ci95();
         assert_eq!(lo, hi);
-    }
-
-    #[test]
-    fn predict_and_residual_consistent() {
-        let fit = fit_line(&[0.0, 1.0], &[1.0, 3.0]).unwrap();
-        assert!((fit.predict(2.0) - 5.0).abs() < 1e-12);
-        assert!((fit.residual(2.0, 5.5) - 0.5).abs() < 1e-12);
     }
 }

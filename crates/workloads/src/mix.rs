@@ -104,19 +104,6 @@ impl MixSpec {
         }
     }
 
-    /// Returns a copy with the memory footprints scaled by `factor`
-    /// (e.g. 4.0 quadruples the working sets for a larger simulated LLC).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not strictly positive and finite.
-    pub fn scaled_footprint(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "factor must be > 0");
-        self.big_region = ((self.big_region as f64 * factor) as u64).max(1024 * 1024);
-        self.hot_region = ((self.hot_region as f64 * factor) as u64).max(4096);
-        self
-    }
-
     /// Fraction of Zipf-addressed loads expected to miss (the cold tail;
     /// a first-order estimate used only for spec sanity checks).
     pub const ZIPF_MISS_ESTIMATE: f64 = 0.8;
@@ -592,23 +579,6 @@ mod tests {
         assert!(total > 1_000);
         let frac = hot as f64 / total as f64;
         assert!(frac > 0.3, "zipf head share {frac}");
-    }
-
-    #[test]
-    fn scaled_footprint_scales_regions() {
-        let s = MixSpec::base("x").scaled_footprint(2.0);
-        assert_eq!(s.big_region, 64 * 1024 * 1024);
-        assert_eq!(s.hot_region, 32 * 1024);
-        // Floors apply.
-        let tiny = MixSpec::base("y").scaled_footprint(1e-9);
-        assert_eq!(tiny.big_region, 1024 * 1024);
-        assert_eq!(tiny.hot_region, 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be > 0")]
-    fn scaled_footprint_rejects_zero() {
-        let _ = MixSpec::base("z").scaled_footprint(0.0);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl MultiPhaseWorkload {
         self.phases.iter().map(|p| p.instructions as f64).collect()
     }
 
-    /// Index of the currently executing phase.
-    pub fn current_phase(&self) -> usize {
-        self.current
-    }
-
     /// Clones of the per-phase specs, in phase order.
     pub fn phase_specs(&self) -> Vec<MixSpec> {
         self.phases.iter().map(|p| p.spec().clone()).collect()
@@ -193,7 +188,6 @@ mod tests {
     fn weights_reflect_instruction_budgets() {
         let job = spark_job(7);
         assert_eq!(job.weights(), vec![25_000.0, 75_000.0]);
-        assert_eq!(job.current_phase(), 0);
     }
 
     #[test]
