@@ -32,26 +32,10 @@ struct EndpointStats {
     next: usize,
 }
 
-impl EndpointStats {
-    fn record(&mut self, status: u16, elapsed: Duration) {
-        self.requests += 1;
-        if status >= 400 {
-            self.errors += 1;
-        }
-        let ms = elapsed.as_secs_f64() * 1e3;
-        if self.samples.len() < MAX_SAMPLES_PER_ENDPOINT {
-            self.samples.push(ms);
-        } else {
-            self.samples[self.next] = ms;
-            self.next = (self.next + 1) % MAX_SAMPLES_PER_ENDPOINT;
-        }
-    }
-}
-
 /// Thread-safe registry of per-endpoint request telemetry.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    endpoints: Mutex<BTreeMap<String, EndpointStats>>,
+    endpoints: Mutex<BTreeMap<&'static str, EndpointStats>>,
 }
 
 impl Metrics {
@@ -62,22 +46,26 @@ impl Metrics {
 
     /// The registry map. A poisoned lock means a recording thread panicked
     /// mid-update; the counters are no longer trustworthy, so fail loud.
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, EndpointStats>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<&'static str, EndpointStats>> {
         // memsense-lint: allow(no-panic-in-lib, reactor-no-blocking-call) — poisoning implies corrupted telemetry (fail loud); holders only touch in-memory counters, never a solve or I/O
         self.endpoints.lock().expect("metrics lock poisoned")
     }
 
     /// Records one handled request for `endpoint` with the given response
-    /// `status` and service time. Only an endpoint's first request
-    /// allocates (its key); later ones update the entry in place.
-    pub fn record(&self, endpoint: &str, status: u16, elapsed: Duration) {
+    /// `status` and service time.
+    pub fn record(&self, endpoint: &'static str, status: u16, elapsed: Duration) {
         let mut endpoints = self.lock();
-        match endpoints.get_mut(endpoint) {
-            Some(stats) => stats.record(status, elapsed),
-            None => endpoints
-                .entry(endpoint.to_string())
-                .or_default()
-                .record(status, elapsed),
+        let stats = endpoints.entry(endpoint).or_default();
+        stats.requests += 1;
+        if status >= 400 {
+            stats.errors += 1;
+        }
+        let ms = elapsed.as_secs_f64() * 1e3;
+        if stats.samples.len() < MAX_SAMPLES_PER_ENDPOINT {
+            stats.samples.push(ms);
+        } else {
+            stats.samples[stats.next] = ms;
+            stats.next = (stats.next + 1) % MAX_SAMPLES_PER_ENDPOINT;
         }
     }
 
@@ -94,7 +82,7 @@ impl Metrics {
             .iter()
             .map(|(name, stats)| {
                 let mut fields = vec![
-                    ("endpoint", Json::str(name)),
+                    ("endpoint", Json::str(*name)),
                     ("requests", Json::num(stats.requests as f64)),
                     ("errors", Json::num(stats.errors as f64)),
                 ];
@@ -208,7 +196,7 @@ mod tests {
         // Pins the no-unordered-output audit: the registry is a BTreeMap, so
         // the /metrics body must not depend on recording order and must list
         // endpoints in sorted order.
-        let record_all = |order: &[&str]| {
+        let record_all = |order: &[&'static str]| {
             let metrics = Metrics::new();
             for name in order {
                 metrics.record(name, 200, Duration::from_millis(2));
