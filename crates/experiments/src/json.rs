@@ -25,7 +25,6 @@
 //! leaking `NaN`/`inf` tokens into the document. The parser likewise
 //! rejects literals that overflow to infinity.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value. Object members keep insertion order.
@@ -172,7 +171,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => out.push_str(&fmt_f64(*v)),
+            Json::Num(v) => write_f64(*v, out),
             Json::Str(s) => escape_str(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -196,13 +195,14 @@ impl Json {
                     return;
                 }
                 out.push('{');
-                let sorted: Vec<&(String, Json)> = if canonical {
-                    let ordered: BTreeMap<&String, &(String, Json)> =
-                        pairs.iter().map(|p| (&p.0, p)).collect();
-                    ordered.into_values().collect()
-                } else {
-                    pairs.iter().collect()
-                };
+                let mut sorted: Vec<&(String, Json)> = pairs.iter().collect();
+                if canonical {
+                    // Reversed first, so the stable sort puts the last of
+                    // equal keys first, and that is the one dedup keeps.
+                    sorted.reverse();
+                    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                    sorted.dedup_by(|a, b| a.0 == b.0);
+                }
                 for (i, (key, value)) in sorted.into_iter().enumerate() {
                     if i > 0 {
                         out.push(',');
@@ -289,14 +289,21 @@ pub fn quote(s: &str) -> String {
 /// * Non-finite values (`NaN`, `±inf`) have no JSON representation and
 ///   become `null` — they never leak as bare tokens.
 pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(v, &mut out);
+    out
+}
+
+/// Appends the [`fmt_f64`] form of `v` to `out`.
+fn write_f64(v: f64, out: &mut String) {
     if !v.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+    } else if v == 0.0 {
+        out.push('0');
+    } else {
+        // memsense-lint: allow(no-raw-float-format) — this IS the canonical formatter every wire path must route through
+        let _ = write!(out, "{v}");
     }
-    if v == 0.0 {
-        return "0".to_string();
-    }
-    // memsense-lint: allow(no-raw-float-format) — this IS the canonical formatter every wire path must route through
-    format!("{v}")
 }
 
 struct Parser<'a> {
@@ -651,6 +658,9 @@ mod tests {
         let b = Json::parse(r#"{"a": {"x": 2, "y": 0.0}, "b": 1}"#).unwrap();
         assert_eq!(a.canonical(), b.canonical());
         assert_eq!(a.canonical(), r#"{"a":{"x":2,"y":0},"b":1}"#);
+        // A duplicate key keeps its last value.
+        let dup = Json::parse(r#"{"b":1,"a":2,"b":3,"a":4}"#).unwrap();
+        assert_eq!(dup.canonical(), r#"{"a":4,"b":3}"#);
         // Non-canonical serialization preserves insertion order.
         assert_eq!(a.to_string(), r#"{"b":1,"a":{"y":0,"x":2}}"#);
     }

@@ -8,32 +8,24 @@
 //! a refcount instead of copying, and the returned body is byte-identical to
 //! the originally computed response.
 //!
-//! The cache is **sharded**: keys are FNV-1a-hashed onto
-//! [`DEFAULT_SHARDS`] independent shards, each with its own mutex, LRU
-//! index, and an equal slice of the byte budget. Concurrent lookups of
-//! different keys contend only 1-in-N of the time, which removes the
-//! single-mutex serialization the thread-per-connection server suffered
-//! under load (every warm request used to queue on one lock while holding a
-//! multi-kilobyte body copy).
+//! The server's reactor thread is the only caller, so one mutex guards one
+//! LRU: it is never contended, and it keeps the cache `Send + Sync` for
+//! callers that share it across threads.
 //!
-//! Eviction is LRU per shard under the shard's byte budget: each entry is
-//! charged its key, body, **and a fixed [`ENTRY_OVERHEAD`]** approximating
-//! the map/index bookkeeping, so thousands of tiny entries cannot blow past
-//! the budget on unaccounted metadata. An insert whose charge exceeds the
-//! shard budget is rejected *up front* — it must never first evict every
-//! resident entry only to discover it still does not fit. Recency is a
-//! monotonically increasing per-shard sequence number with a
-//! `BTreeMap<seq, key>` index, so get/insert/evict are all `O(log n)`.
+//! Eviction is LRU under the byte budget: each entry is charged its key,
+//! body, **and a fixed [`ENTRY_OVERHEAD`]** approximating the map/index
+//! bookkeeping, so thousands of tiny entries cannot blow past the budget on
+//! unaccounted metadata. An insert whose charge exceeds the whole budget is
+//! rejected *up front* — it must never first evict every resident entry
+//! only to discover it still does not fit. Recency is a monotonically
+//! increasing sequence number with a `BTreeMap<seq, key>` index, so
+//! get/insert/evict are all `O(log n)`.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default byte budget (64 MiB) — thousands of sweep responses.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 * 1024 * 1024;
-
-/// Default shard count. Sixteen mutexes keep contention negligible for a
-/// reactor plus a small worker pool while costing only a few hundred bytes.
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// Bytes charged per entry on top of key + body length: approximates the
 /// `Entry` struct, the hash-map node, the recency-index node, and the two
@@ -51,7 +43,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
-    /// Inserts rejected up front because the charge exceeded a shard budget.
+    /// Inserts rejected up front because the charge exceeded the budget.
     pub rejected: u64,
     /// Entries currently stored.
     pub entries: usize,
@@ -78,28 +70,11 @@ struct Inner {
     rejected: u64,
 }
 
-#[derive(Debug)]
-struct Shard {
-    inner: Mutex<Inner>,
-    budget: usize,
-}
-
-/// A thread-safe sharded LRU response cache with a byte budget.
+/// A thread-safe LRU response cache with a byte budget.
 #[derive(Debug)]
 pub struct ResultCache {
-    shards: Box<[Shard]>,
-}
-
-/// FNV-1a over the key bytes: deterministic across runs (unlike
-/// `DefaultHasher`), so shard placement — and therefore eviction behavior —
-/// is reproducible.
-fn fnv1a(key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    inner: Mutex<Inner>,
+    budget: usize,
 }
 
 /// What one entry costs against the byte budget.
@@ -108,65 +83,43 @@ fn charge(key: &str, body: &str) -> usize {
 }
 
 impl ResultCache {
-    /// Creates a cache bounded to `budget` bytes across [`DEFAULT_SHARDS`]
-    /// shards.
+    /// Creates a cache bounded to `budget` bytes.
     pub fn new(budget: usize) -> ResultCache {
-        ResultCache::with_shards(budget, DEFAULT_SHARDS)
-    }
-
-    /// Creates a cache bounded to `budget` bytes split evenly over `shards`
-    /// independent shards (clamped to at least 1). Note the per-shard budget
-    /// is `budget / shards`: an entry larger than that slice is not cacheable.
-    pub fn with_shards(budget: usize, shards: usize) -> ResultCache {
-        let shards = shards.max(1);
-        let per_shard = budget / shards;
         ResultCache {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    inner: Mutex::new(Inner::default()),
-                    budget: per_shard,
-                })
-                .collect(),
+            inner: Mutex::new(Inner::default()),
+            budget,
         }
-    }
-
-    fn shard(&self, key: &str) -> &Shard {
-        &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<str>> {
-        // memsense-lint: allow(reactor-no-blocking-call) — shard critical sections are bounded map ops (no solve, no I/O); contention is microseconds
-        let mut inner = self.shard(key).lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let Some(entry) = inner.map.get_mut(key) else {
+            inner.misses += 1;
+            return None;
+        };
+        // Move the index's own key string to the new sequence number.
         let seq = inner.next_seq;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                let old = entry.seq;
-                entry.seq = seq;
-                let body = Arc::clone(&entry.body);
-                inner.next_seq += 1;
-                inner.order.remove(&old);
-                inner.order.insert(seq, key.to_string());
-                inner.hits += 1;
-                Some(body)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        inner.next_seq += 1;
+        let indexed = inner
+            .order
+            .remove(&entry.seq)
+            .unwrap_or_else(|| key.to_string());
+        inner.order.insert(seq, indexed);
+        entry.seq = seq;
+        inner.hits += 1;
+        Some(Arc::clone(&entry.body))
     }
 
-    /// Stores `body` under `key`, evicting LRU entries in the key's shard
-    /// past its budget. Returns whether the entry was stored: an entry whose
-    /// charge (key + body + [`ENTRY_OVERHEAD`]) exceeds the shard budget is
-    /// rejected up front, before any eviction — never after wiping the shard.
+    /// Stores `body` under `key`, evicting least recently used entries past
+    /// the budget. Returns whether the entry was stored: an entry whose
+    /// charge (key + body + [`ENTRY_OVERHEAD`]) exceeds the budget is
+    /// rejected up front, before any eviction — never after wiping the cache.
     pub fn put(&self, key: &str, body: &Arc<str>) -> bool {
-        let shard = self.shard(key);
         let cost = charge(key, body);
-        // memsense-lint: allow(reactor-no-blocking-call) — bounded insert/evict critical section; see ResultCache::get
-        let mut inner = shard.lock();
-        if cost > shard.budget {
+        let mut inner = self.lock();
+        if cost > self.budget {
             inner.rejected += 1;
             return false;
         }
@@ -185,7 +138,7 @@ impl ResultCache {
         );
         inner.order.insert(seq, key.to_string());
         inner.bytes += cost;
-        while inner.bytes > shard.budget {
+        while inner.bytes > self.budget {
             // `pop_first` keeps eviction panic-free: the loop simply stops
             // if the recency index ever runs dry.
             let Some((_, victim)) = inner.order.pop_first() else {
@@ -199,30 +152,25 @@ impl ResultCache {
         true
     }
 
-    /// Current counters, aggregated over all shards.
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in self.shards.iter() {
-            // memsense-lint: allow(reactor-no-blocking-call) — bounded counter reads; see ResultCache::get
-            let inner = shard.lock();
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.evictions += inner.evictions;
-            stats.rejected += inner.rejected;
-            stats.entries += inner.map.len();
-            stats.bytes += inner.bytes;
+        let inner = self.lock();
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
+            rejected: inner.rejected,
+            entries: inner.map.len(),
+            bytes: inner.bytes,
         }
-        stats
     }
-}
 
-impl Shard {
-    /// The shard state. Poisoning is propagated deliberately: cache methods
-    /// never panic themselves, so a poisoned lock means a worker died
+    /// The cache state. Poisoning is propagated deliberately: cache methods
+    /// never panic themselves, so a poisoned lock means a caller died
     /// mid-mutation and the byte accounting can no longer be trusted.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // memsense-lint: allow(no-panic-in-lib, reactor-no-blocking-call) — poisoning implies corrupted LRU accounting (fail loud); holders only do bounded map ops, never a solve
-        self.inner.lock().expect("cache shard lock poisoned")
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        // memsense-lint: allow(no-panic-in-lib, reactor-no-blocking-call) — poisoning implies corrupted LRU accounting (fail loud); the reactor is the only caller, so the lock is never contended, and holders only do bounded map ops
+        self.inner.lock().expect("cache lock poisoned")
     }
 }
 
@@ -234,8 +182,7 @@ mod tests {
         Arc::from(text)
     }
 
-    /// Budget that fits exactly `n` entries of `key_len + body_len` payload
-    /// in a single-shard cache.
+    /// Budget that fits exactly `n` entries of `key_len + body_len` payload.
     fn fits(n: usize, key_len: usize, body_len: usize) -> usize {
         n * (key_len + body_len + ENTRY_OVERHEAD)
     }
@@ -253,8 +200,8 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_least_recently_used() {
-        // Single shard so the LRU order is global; budget holds 3 entries.
-        let cache = ResultCache::with_shards(fits(3, 1, 9), 1);
+        // Budget holds 3 entries.
+        let cache = ResultCache::new(fits(3, 1, 9));
         for key in ["a", "b", "c"] {
             cache.put(key, &body("123456789"));
         }
@@ -273,7 +220,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_double_charging() {
-        let cache = ResultCache::with_shards(1024, 1);
+        let cache = ResultCache::new(1024);
         cache.put("k", &body("short"));
         cache.put("k", &body("a longer body than before"));
         assert_eq!(cache.stats().entries, 1);
@@ -283,7 +230,7 @@ mod tests {
 
     #[test]
     fn accounting_charges_key_body_and_entry_overhead() {
-        let cache = ResultCache::with_shards(1024 * 1024, 1);
+        let cache = ResultCache::new(1024 * 1024);
         cache.put("key-one", &body("0123456789"));
         cache.put("key-two!", &body("0123"));
         let expected = (7 + 10 + ENTRY_OVERHEAD) + (8 + 4 + ENTRY_OVERHEAD);
@@ -299,7 +246,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_are_not_cached() {
-        let cache = ResultCache::with_shards(10, 1);
+        let cache = ResultCache::new(10);
         assert!(!cache.put("key", &body(&"x".repeat(100))));
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.get("key"), None);
@@ -310,8 +257,8 @@ mod tests {
     fn oversized_insert_is_rejected_before_evicting_anything() {
         // Regression pin: an insert that can never fit must be refused up
         // front. The buggy order of operations (evict first, check later —
-        // or no check at all) empties the whole shard before failing.
-        let cache = ResultCache::with_shards(fits(3, 1, 9), 1);
+        // or no check at all) empties the whole cache before failing.
+        let cache = ResultCache::new(fits(3, 1, 9));
         for key in ["a", "b", "c"] {
             cache.put(key, &body("123456789"));
         }
@@ -340,7 +287,7 @@ mod tests {
         // BTreeMap recency index, never from HashMap iteration, so the same
         // operation sequence always evicts the same keys.
         let run = || {
-            let cache = ResultCache::with_shards(fits(6, 1, 9), 1);
+            let cache = ResultCache::new(fits(6, 1, 9));
             for key in ["a", "b", "c", "d", "e", "f"] {
                 cache.put(key, &body("123456789"));
             }
@@ -363,49 +310,36 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_stores_and_aggregates_across_shards() {
-        let cache = ResultCache::new(DEFAULT_BUDGET_BYTES);
-        for i in 0..200 {
-            let key = format!("key-{i}");
-            assert!(cache.put(&key, &body(&format!("body-{i}"))));
-        }
-        for i in 0..200 {
-            let key = format!("key-{i}");
-            assert_eq!(
-                cache.get(&key).as_deref(),
-                Some(format!("body-{i}").as_str())
-            );
-        }
+    fn entry_larger_than_a_sixteenth_of_the_budget_is_stored() {
+        // One LRU spends the whole budget: an entry costing more than
+        // `budget / 16` (the old per-shard slice) but within the budget is
+        // cached, not rejected.
+        let budget = fits(4, 1, 9);
+        let cache = ResultCache::new(budget);
+        let big = "x".repeat(budget / 2);
+        assert!(cache.put("k", &body(&big)));
+        assert_eq!(cache.get("k").as_deref(), Some(big.as_str()));
         let stats = cache.stats();
-        assert_eq!(stats.entries, 200);
-        assert_eq!(stats.hits, 200);
-        assert_eq!(stats.misses, 0);
+        assert_eq!((stats.entries, stats.rejected), (1, 0));
+        assert!(stats.bytes <= budget);
     }
 
     #[test]
-    fn shard_overflow_evicts_within_budget() {
-        // Tiny per-shard budgets: hammering many keys must keep total bytes
-        // within the whole budget and evict rather than grow unboundedly.
+    fn unique_key_flood_evicts_within_budget() {
+        // A flood of distinct keys must keep the charged bytes within the
+        // budget and evict rather than grow without bound.
         let total = fits(32, 8, 9);
-        let cache = ResultCache::with_shards(total, DEFAULT_SHARDS);
+        let cache = ResultCache::new(total);
         for i in 0..500 {
-            cache.put(&format!("key-{i:04}"), &body("123456789"));
+            assert!(cache.put(&format!("key-{i:04}"), &body("123456789")));
         }
         let stats = cache.stats();
         assert!(stats.bytes <= total, "{} > {total}", stats.bytes);
-        assert!(stats.evictions > 0, "overflow must evict");
-    }
-
-    #[test]
-    fn shard_placement_is_deterministic() {
-        // FNV-1a is a fixed function of the key bytes: the same insert
-        // sequence lands on the same shards (and therefore evicts the same
-        // victims) on every run.
-        let place = |key: &str| fnv1a(key) % DEFAULT_SHARDS as u64;
-        for key in ["a", "zebra", "POST /v1/solve#{}", ""] {
-            assert_eq!(place(key), place(key));
-        }
-        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(stats.entries, 32, "one LRU fills the whole budget");
+        assert_eq!(stats.evictions, 500 - 32);
+        // The newest keys survive; the oldest were evicted first.
+        assert!(cache.get("key-0499").is_some());
+        assert_eq!(cache.get("key-0000"), None);
     }
 
     #[test]

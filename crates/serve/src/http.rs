@@ -168,19 +168,20 @@ pub enum Parse {
 /// connection) into at most one request. Never blocks; call again with more
 /// bytes after [`Parse::Partial`].
 pub fn parse_request(buf: &[u8]) -> Parse {
-    // Tolerate leading blank lines (RFC 9112 §2.2).
+    // Tolerate leading blank lines (RFC 9112 §2.2), but charge them to the
+    // head limit: a flood of them must not grow the buffer without bound.
     let start = buf
         .iter()
         .position(|&b| b != b'\r' && b != b'\n')
         .unwrap_or(buf.len());
     let buf = &buf[start..];
     let Some(head_len) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD_BYTES {
+        if start + buf.len() > MAX_HEAD_BYTES {
             return Parse::Bad(431, "request head too large");
         }
         return Parse::Partial;
     };
-    if head_len > MAX_HEAD_BYTES {
+    if start + head_len > MAX_HEAD_BYTES {
         return Parse::Bad(431, "request head too large");
     }
     let Ok(text) = std::str::from_utf8(&buf[..head_len]) else {
@@ -695,6 +696,9 @@ mod tests {
             Parse::Bad(413, _)
         ));
         assert!(matches!(parse_request(b"NOPE\r\n\r\n"), Parse::Bad(400, _)));
+        // Leading blank lines count against the head limit.
+        let blank_flood = vec![b'\n'; MAX_HEAD_BYTES + 1];
+        assert!(matches!(parse_request(&blank_flood), Parse::Bad(431, _)));
     }
 
     // --- idle-read classification (keep-alive teardown portability) ---

@@ -42,12 +42,11 @@
 //! * [`api`] — JSON request/response conversion over the model, via the
 //!   shared `memsense_experiments::json` module (escaping-correct, canonical
 //!   floats).
-//! * [`cache`] — a sharded, content-addressed in-memory result cache:
+//! * [`cache`] — a content-addressed in-memory result cache:
 //!   canonicalized request (method + path + key-sorted body) → response
-//!   body behind `Arc<str>`, LRU per shard under a per-shard byte budget
-//!   (keys, bodies, and per-entry overhead all charged); repeated sweep
-//!   queries are served without re-solving and return byte-identical
-//!   bodies.
+//!   body behind `Arc<str>`, one LRU under one byte budget (keys, bodies,
+//!   and per-entry overhead all charged); repeated sweep queries are
+//!   served without re-solving and return byte-identical bodies.
 //! * [`metrics`] — per-endpoint request counts and nearest-rank latency
 //!   percentiles (via `memsense-stats`), plus cache and single-flight
 //!   counters.

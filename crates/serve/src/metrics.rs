@@ -10,7 +10,6 @@
 //! classic off-by-one formulation, indexing past the sorted sample).
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use memsense_experiments::json::Json;
@@ -32,10 +31,12 @@ struct EndpointStats {
     next: usize,
 }
 
-/// Thread-safe registry of per-endpoint request telemetry.
+/// Registry of per-endpoint request telemetry, owned by the server's
+/// reactor thread (the only place requests are recorded), so it takes no
+/// lock.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    endpoints: Mutex<BTreeMap<&'static str, EndpointStats>>,
+    endpoints: BTreeMap<&'static str, EndpointStats>,
 }
 
 impl Metrics {
@@ -44,18 +45,10 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// The registry map. A poisoned lock means a recording thread panicked
-    /// mid-update; the counters are no longer trustworthy, so fail loud.
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<&'static str, EndpointStats>> {
-        // memsense-lint: allow(no-panic-in-lib, reactor-no-blocking-call) — poisoning implies corrupted telemetry (fail loud); holders only touch in-memory counters, never a solve or I/O
-        self.endpoints.lock().expect("metrics lock poisoned")
-    }
-
     /// Records one handled request for `endpoint` with the given response
     /// `status` and service time.
-    pub fn record(&self, endpoint: &'static str, status: u16, elapsed: Duration) {
-        let mut endpoints = self.lock();
-        let stats = endpoints.entry(endpoint).or_default();
+    pub fn record(&mut self, endpoint: &'static str, status: u16, elapsed: Duration) {
+        let stats = self.endpoints.entry(endpoint).or_default();
         stats.requests += 1;
         if status >= 400 {
             stats.errors += 1;
@@ -77,8 +70,8 @@ impl Metrics {
         flight: FlightSnapshot,
         stream: StreamSnapshot,
     ) -> Json {
-        let endpoints = self.lock();
-        let per_endpoint: Vec<Json> = endpoints
+        let per_endpoint: Vec<Json> = self
+            .endpoints
             .iter()
             .map(|(name, stats)| {
                 let mut fields = vec![
@@ -106,7 +99,7 @@ impl Metrics {
         Json::obj(vec![
             (
                 "requests_total",
-                Json::num(endpoints.values().map(|s| s.requests).sum::<u64>() as f64),
+                Json::num(self.endpoints.values().map(|s| s.requests).sum::<u64>() as f64),
             ),
             ("endpoints", Json::Arr(per_endpoint)),
             (
@@ -152,7 +145,7 @@ mod tests {
 
     #[test]
     fn records_counts_errors_and_percentiles() {
-        let metrics = Metrics::new();
+        let mut metrics = Metrics::new();
         for i in 0..10 {
             metrics.record("/v1/solve", 200, Duration::from_millis(i + 1));
         }
@@ -181,12 +174,11 @@ mod tests {
 
     #[test]
     fn sample_ring_is_bounded() {
-        let metrics = Metrics::new();
+        let mut metrics = Metrics::new();
         for _ in 0..(MAX_SAMPLES_PER_ENDPOINT + 100) {
             metrics.record("/v1/sweep/bandwidth", 200, Duration::from_millis(1));
         }
-        let endpoints = metrics.endpoints.lock().unwrap();
-        let stats = endpoints.get("/v1/sweep/bandwidth").unwrap();
+        let stats = metrics.endpoints.get("/v1/sweep/bandwidth").unwrap();
         assert_eq!(stats.samples.len(), MAX_SAMPLES_PER_ENDPOINT);
         assert_eq!(stats.requests, (MAX_SAMPLES_PER_ENDPOINT + 100) as u64);
     }
@@ -197,7 +189,7 @@ mod tests {
         // the /metrics body must not depend on recording order and must list
         // endpoints in sorted order.
         let record_all = |order: &[&'static str]| {
-            let metrics = Metrics::new();
+            let mut metrics = Metrics::new();
             for name in order {
                 metrics.record(name, 200, Duration::from_millis(2));
             }
@@ -280,7 +272,7 @@ mod tests {
         // The small-n off-by-one regression: with fewer than 100 samples the
         // p99 must clamp to the maximum observed latency, never interpolate
         // below it or index past the sorted ring.
-        let metrics = Metrics::new();
+        let mut metrics = Metrics::new();
         for ms in [1u64, 2, 3] {
             metrics.record("/v1/solve", 200, Duration::from_millis(ms));
         }
@@ -304,7 +296,7 @@ mod tests {
         // that its percentiles obey the small-n nearest-rank clamp too (a
         // plan solve is the slowest endpoint, so an interpolated p99 below
         // the observed maximum would be the most misleading here).
-        let metrics = Metrics::new();
+        let mut metrics = Metrics::new();
         for ms in [40u64, 55] {
             metrics.record("/v1/plan", 200, Duration::from_millis(ms));
         }
@@ -334,7 +326,7 @@ mod tests {
         // session typically records only a handful of open/delta/updates
         // requests, so small-n clamping is their *normal* operating regime,
         // not a corner case. Pin the nearest-rank clamp for all three.
-        let metrics = Metrics::new();
+        let mut metrics = Metrics::new();
         for (label, ms) in [
             ("/v1/stream/open", [12u64, 30]),
             ("/v1/stream/delta", [3, 8]),

@@ -21,17 +21,21 @@
 //! [`EventFd`] the reactor waits on. Fast endpoints (`/healthz`,
 //! `/metrics`, cache hits, 4xx/5xx) are answered inline.
 //!
-//! Because the reactor serializes request admission, it can coalesce
-//! duplicate work without locks: a [`SingleFlight`] table keyed by the same
-//! canonical request key as the result cache guarantees that N concurrent
+//! The reactor thread alone admits requests, so it owns the request state
+//! outright — the single-flight table, the result cache, and the metrics
+//! registry — and touches none of it through a shared lock. Workers share
+//! only the stream-session registry and the shutdown flag.
+//!
+//! Every model request derives its cache key one way: parse the body, then
+//! canonicalize it, giving `"{method} {path}#{canonical body}"`. A
+//! [`SingleFlight`] table keyed by that key guarantees that N concurrent
 //! identical requests perform **exactly one** model solve (and exactly one
 //! cache miss) — the first admission leads, the rest join and share the
 //! lead's response behind an `Arc<str>`, byte-identical and copy-free.
 //!
-//! Caching: successful `POST /v1/*` responses are stored in the sharded,
-//! content-addressed [`ResultCache`](crate::cache::ResultCache) keyed by
-//! `"{method} {path}#{canonical body}"`. A hit skips the model entirely and
-//! returns the original body byte-for-byte.
+//! Caching: successful `POST /v1/*` responses are stored in the
+//! content-addressed [`ResultCache`] under the same key. A hit skips the
+//! model entirely and returns the original body byte-for-byte.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -58,11 +62,6 @@ use crate::streams::{StreamRegistry, UpdatesPoll, SESSION_IDLE_TIMEOUT};
 /// Accept backlog requested at startup (kernel-capped by
 /// `net.core.somaxconn`); sized for synchronized herds of benchmark clients.
 const LISTEN_BACKLOG: u32 = 1024;
-
-/// Entries kept in the raw-request → canonical-key memo before it is
-/// wholesale cleared. Steady-state traffic uses a handful of distinct
-/// requests; the cap only bounds adversarial unique-body streams.
-const KEY_MEMO_CAP: usize = 64;
 
 /// How long a keep-alive connection may sit idle before being dropped.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -106,11 +105,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared state visible to the reactor, the workers, and the [`Server`]
-/// handle.
+/// State shared by the reactor, the workers, and the [`Server`] handle.
 struct State {
-    cache: ResultCache,
-    metrics: Metrics,
     streams: StreamRegistry,
     shutdown: AtomicBool,
 }
@@ -156,8 +152,6 @@ impl Server {
         };
 
         let state = Arc::new(State {
-            cache: ResultCache::new(config.cache_budget),
-            metrics: Metrics::new(),
             streams: StreamRegistry::new(),
             shutdown: AtomicBool::new(false),
         });
@@ -187,12 +181,15 @@ impl Server {
             conns: BTreeMap::new(),
             next_token: TOKEN_FIRST_CONN,
             max_connections,
-            flight: SingleFlight::new(),
-            key_memo: BTreeMap::new(),
-            jobs,
+            requests: Requests {
+                state: Arc::clone(&state),
+                flight: SingleFlight::new(),
+                cache: ResultCache::new(config.cache_budget),
+                metrics: Metrics::new(),
+                jobs,
+            },
             completions,
             workers: worker_handles,
-            state: Arc::clone(&state),
         };
         let handle = std::thread::spawn(move || reactor.run());
 
@@ -373,8 +370,8 @@ impl Conn {
     }
 }
 
-/// The reactor: owns the epoll instance, every connection, and the
-/// single-flight table. Runs on its own thread until shutdown.
+/// The reactor: owns the epoll instance, every connection, and the request
+/// state. Runs on its own thread until shutdown.
 struct Reactor {
     epoll: Epoll,
     wake: Arc<EventFd>,
@@ -382,18 +379,20 @@ struct Reactor {
     conns: BTreeMap<u64, Conn>,
     next_token: u64,
     max_connections: usize,
-    flight: SingleFlight,
-    /// Raw request signature → memoized canonical cache key. Steady-state
-    /// traffic repeats byte-identical requests, and deriving the key the
-    /// honest way (JSON parse + canonical float re-formatting) is the single
-    /// hottest per-request cost; a byte-compare memo skips it entirely. Only
-    /// bodies that parsed successfully are memoized, and the parser is
-    /// deterministic, so a memo hit proves the body re-parses cleanly.
-    key_memo: BTreeMap<Vec<u8>, String>,
-    jobs: Sender<Job>,
+    requests: Requests,
     completions: Arc<Mutex<Vec<Completion>>>,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// What request handling needs besides the connection: held apart from
+/// `Reactor::conns` so a connection and this state can be borrowed at once.
+/// Only the reactor thread touches it, so none of it is locked.
+struct Requests {
     state: Arc<State>,
+    flight: SingleFlight,
+    cache: ResultCache,
+    metrics: Metrics,
+    jobs: Sender<Job>,
 }
 
 impl Reactor {
@@ -417,13 +416,13 @@ impl Reactor {
             }
             self.drain_completions();
 
-            if self.state.shutdown.load(Ordering::SeqCst) {
+            if self.requests.state.shutdown.load(Ordering::SeqCst) {
                 // Stop accepting; deliver what is owed, then leave.
                 if let Some(listener) = self.listener.take() {
                     let _ = self.epoll.delete(&listener);
                 }
                 let deadline = *shutdown_at.get_or_insert_with(Instant::now);
-                let owes = !self.flight.is_empty()
+                let owes = !self.requests.flight.is_empty()
                     || self
                         .conns
                         .values()
@@ -449,19 +448,19 @@ impl Reactor {
                 // Stream sessions ride the same sweep, on their own (much
                 // longer) timeout: clients poll updates between batches, so
                 // a session outlives any one connection.
-                self.state.streams.evict_idle(SESSION_IDLE_TIMEOUT);
+                self.requests.state.streams.evict_idle(SESSION_IDLE_TIMEOUT);
             }
         }
         // Teardown: dropping the job sender makes every worker's `recv` fail,
         // so the pool drains and exits; join it so no thread outlives `run`.
         let Reactor {
-            jobs,
+            requests,
             workers,
             conns,
             ..
         } = self;
         drop(conns);
-        drop(jobs);
+        drop(requests);
         for handle in workers {
             // memsense-lint: allow(reactor-no-blocking-call) — shutdown teardown: the event loop has already exited and the dropped job queue unblocks every worker
             let _ = handle.join();
@@ -478,7 +477,7 @@ impl Reactor {
             };
             match accepted {
                 Ok((mut stream, _)) => {
-                    if self.state.shutdown.load(Ordering::SeqCst) {
+                    if self.requests.state.shutdown.load(Ordering::SeqCst) {
                         continue;
                     }
                     if self.conns.len() >= self.max_connections {
@@ -520,13 +519,7 @@ impl Reactor {
     /// bytes. Drops the connection on transport errors or clean teardown.
     fn pump(&mut self, token: u64) {
         let Reactor {
-            conns,
-            flight,
-            key_memo,
-            jobs,
-            state,
-            wake,
-            ..
+            conns, requests, ..
         } = self;
         let Some(conn) = conns.get_mut(&token) else {
             return;
@@ -573,7 +566,7 @@ impl Reactor {
                 }
                 Parse::Complete(request, consumed) => {
                     conn.rbuf.drain(..consumed);
-                    dispatch(conn, token, &request, state, flight, key_memo, jobs, wake);
+                    dispatch(conn, token, &request, requests);
                 }
             }
         }
@@ -611,9 +604,9 @@ impl Reactor {
     fn fan_out(&mut self, key: &str, status: u16, body: &str) {
         let body: Arc<str> = Arc::from(body);
         if status == 200 {
-            self.state.cache.put(key, &body);
+            self.requests.cache.put(key, &body);
         }
-        let waiters = self.flight.complete(key);
+        let waiters = self.requests.flight.complete(key);
         for &waiter in &waiters {
             let Some(conn) = self.conns.get_mut(&waiter) else {
                 continue;
@@ -621,7 +614,7 @@ impl Reactor {
             let Some(waiting) = conn.waiting.take() else {
                 continue;
             };
-            self.state
+            self.requests
                 .metrics
                 .record(waiting.label, status, waiting.started.elapsed());
             queue_shared(conn, status, &body, waiting.keep_alive);
@@ -645,7 +638,7 @@ impl Reactor {
             let Some(waiting) = conn.waiting.take() else {
                 return;
             };
-            self.state
+            self.requests
                 .metrics
                 .record(waiting.label, status, waiting.started.elapsed());
             queue_response(
@@ -668,20 +661,11 @@ impl Reactor {
 /// Routes one parsed request. Fast endpoints (and every error) are answered
 /// inline; model endpoints consult the cache and otherwise enter the
 /// single-flight table, parking the connection until a worker completes.
-#[allow(clippy::too_many_arguments)] // disjoint reactor fields, split for the borrow checker
-fn dispatch(
-    conn: &mut Conn,
-    token: u64,
-    request: &Request,
-    state: &State,
-    flight: &mut SingleFlight,
-    key_memo: &mut BTreeMap<Vec<u8>, String>,
-    jobs: &Sender<Job>,
-    wake: &EventFd,
-) {
+fn dispatch(conn: &mut Conn, token: u64, request: &Request, requests: &mut Requests) {
     // Decided before any route side effect: the response that *requests*
     // shutdown still says keep-alive; every request parsed after the flag is
     // set closes.
+    let state = &requests.state;
     let keep_alive = !request.wants_close() && !state.shutdown.load(Ordering::SeqCst);
     let started = Instant::now();
     let path = request.path.as_str();
@@ -690,152 +674,125 @@ fn dispatch(
     // single-flight table entirely: their responses depend on mutable
     // session state, so byte-identical requests must each execute.
     if bypasses_result_cache(path) {
-        dispatch_stream(conn, token, request, state, jobs, keep_alive, started);
+        dispatch_stream(conn, token, request, requests, keep_alive, started);
+        return;
+    }
+    if let Some(endpoint) = Endpoint::from_path(path).filter(|_| request.method == "POST") {
+        dispatch_model(
+            conn, token, request, requests, endpoint, keep_alive, started,
+        );
         return;
     }
 
-    let inline: Option<(&'static str, Response)> = match (request.method.as_str(), path) {
-        ("GET", "/healthz") => Some((
+    let (label, response) = match (request.method.as_str(), path) {
+        ("GET", "/healthz") => (
             "/healthz",
             Response::ok(Json::obj(vec![("status", Json::str("ok"))]).to_string()),
-        )),
-        ("GET", "/metrics") => Some((
+        ),
+        ("GET", "/metrics") => (
             "/metrics",
             Response::ok(
-                state
+                requests
                     .metrics
                     .to_json(
-                        state.cache.stats(),
-                        flight.snapshot(),
+                        requests.cache.stats(),
+                        requests.flight.snapshot(),
                         state.streams.snapshot(),
                     )
                     .to_string(),
             ),
-        )),
+        ),
         ("POST", "/v1/admin/shutdown") => {
+            // No wakeup needed: the event loop checks the flag right after
+            // this batch of events.
             state.shutdown.store(true, Ordering::SeqCst);
-            wake.notify();
-            Some((
+            (
                 "/v1/admin/shutdown",
                 Response::ok(Json::obj(vec![("status", Json::str("shutting-down"))]).to_string()),
-            ))
+            )
         }
-        ("POST", _) if Endpoint::from_path(path).is_some() => None,
         (_, "/healthz" | "/metrics") | ("GET" | "PUT" | "DELETE" | "HEAD" | "PATCH", _)
             if known_path(path) =>
         {
-            Some((
+            (
                 "other",
                 Response {
                     status: 405,
                     body: error_body("method not allowed for this endpoint"),
                 },
-            ))
+            )
         }
-        _ => Some((
+        _ => (
             "other",
             Response {
                 status: 404,
                 body: error_body(&format!("no such endpoint: {path}")),
             },
-        )),
+        ),
     };
-    if let Some((endpoint, response)) = inline {
-        respond(conn, state, endpoint, &response, started, keep_alive);
-        return;
-    }
+    respond(
+        conn,
+        &mut requests.metrics,
+        label,
+        &response,
+        started,
+        keep_alive,
+    );
+}
 
-    // Model endpoint: parse the body, consult the cache, then single-flight.
-    let Some(endpoint) = Endpoint::from_path(path) else {
-        return; // unreachable by construction of `inline`
-    };
-    // Identical raw bytes always canonicalize to the identical key, so a
-    // byte-compare memo skips the JSON parse + canonical re-formatting on
-    // the steady-state path. Only successfully parsed bodies are memoized;
-    // malformed bodies take (and keep taking) the 400 path below.
-    let mut raw_sig =
-        Vec::with_capacity(request.method.len() + path.len() + request.body.len() + 2);
-    raw_sig.extend_from_slice(request.method.as_bytes());
-    raw_sig.push(b' ');
-    raw_sig.extend_from_slice(path.as_bytes());
-    raw_sig.push(b'\n');
-    raw_sig.extend_from_slice(&request.body);
-
-    // `body` stays unparsed (`None`) on a memo hit; it is only materialized
-    // if this request must actually be dispatched to a worker.
-    let (key, mut body): (String, Option<Json>) = match key_memo.get(&raw_sig) {
-        Some(key) => (key.clone(), None),
-        None => {
-            let body = match parse_model_body(&request.body) {
-                Ok(body) => body,
-                Err(response) => {
-                    respond(
-                        conn,
-                        state,
-                        endpoint.label(),
-                        &response,
-                        started,
-                        keep_alive,
-                    );
-                    return;
-                }
-            };
-            let key = format!("{} {}#{}", request.method, request.path, body.canonical());
-            if key_memo.len() >= KEY_MEMO_CAP {
-                key_memo.clear();
-            }
-            key_memo.insert(raw_sig, key.clone());
-            (key, Some(body))
+/// Routes one model-endpoint request: parses and canonicalizes the body into
+/// the cache key, answers a cache hit inline, and otherwise joins or leads a
+/// single flight.
+fn dispatch_model(
+    conn: &mut Conn,
+    token: u64,
+    request: &Request,
+    requests: &mut Requests,
+    endpoint: Endpoint,
+    keep_alive: bool,
+    started: Instant,
+) {
+    let label = endpoint.label();
+    let body = match parse_model_body(&request.body) {
+        Ok(body) => body,
+        Err(response) => {
+            respond(
+                conn,
+                &mut requests.metrics,
+                label,
+                &response,
+                started,
+                keep_alive,
+            );
+            return;
         }
+    };
+    let key = format!("{} {}#{}", request.method, request.path, body.canonical());
+    let waiting = Waiting {
+        keep_alive,
+        started,
+        label,
     };
     // In-flight check BEFORE the cache: joiners must not touch the cache at
     // all, so N concurrent identical requests record exactly one miss (the
     // lead's) no matter how they interleave.
-    if flight.is_inflight(&key) {
-        let admission = flight.admit(&key, token);
+    if requests.flight.is_inflight(&key) {
+        let admission = requests.flight.admit(&key, token);
         debug_assert_eq!(admission, Admission::Joined);
-        conn.waiting = Some(Waiting {
-            keep_alive,
-            started,
-            label: endpoint.label(),
-        });
+        conn.waiting = Some(waiting);
         return;
     }
-    if let Some(hit) = state.cache.get(&key) {
-        state
-            .metrics
-            .record(endpoint.label(), 200, started.elapsed());
+    if let Some(hit) = requests.cache.get(&key) {
+        requests.metrics.record(label, 200, started.elapsed());
         queue_shared(conn, 200, &hit, keep_alive);
         if !keep_alive {
             conn.close_after_flush = true;
         }
         return;
     }
-    if body.is_none() {
-        // Memo hit but cache miss (the entry was evicted): materialize the
-        // body for the worker. A memo hit proves these exact bytes parsed
-        // cleanly before, and the parser is deterministic — but stay honest
-        // if that invariant is ever broken rather than panicking.
-        match parse_model_body(&request.body) {
-            Ok(parsed) => body = Some(parsed),
-            Err(response) => {
-                respond(
-                    conn,
-                    state,
-                    endpoint.label(),
-                    &response,
-                    started,
-                    keep_alive,
-                );
-                return;
-            }
-        }
-    }
-    let Some(body) = body else {
-        return; // unreachable: `body` was just materialized
-    };
-    if flight.admit(&key, token) == Admission::Lead
-        && jobs
+    if requests.flight.admit(&key, token) == Admission::Lead
+        && requests
+            .jobs
             .send(Job {
                 reply: Reply::Flight(key.clone()),
                 work: Work::Model { body, endpoint },
@@ -843,26 +800,22 @@ fn dispatch(
             .is_err()
     {
         // Worker pool gone (shutdown race): answer directly.
-        flight.complete(&key);
+        requests.flight.complete(&key);
         let response = Response {
             status: 503,
             body: error_body("server is shutting down"),
         };
         respond(
             conn,
-            state,
-            endpoint.label(),
+            &mut requests.metrics,
+            label,
             &response,
             started,
             keep_alive,
         );
         return;
     }
-    conn.waiting = Some(Waiting {
-        keep_alive,
-        started,
-        label: endpoint.label(),
-    });
+    conn.waiting = Some(waiting);
 }
 
 /// Whether `path` belongs to the session-bearing route family that must
@@ -907,8 +860,7 @@ fn dispatch_stream(
     conn: &mut Conn,
     token: u64,
     request: &Request,
-    state: &State,
-    jobs: &Sender<Job>,
+    requests: &mut Requests,
     keep_alive: bool,
     started: Instant,
 ) {
@@ -923,11 +875,11 @@ fn dispatch_stream(
             // the whole solve): the registry uses try_lock and a busy
             // session answers 503 retry instead of stalling every
             // connection on the server.
-            let response = match state.streams.take_updates(id) {
+            let response = match requests.state.streams.take_updates(id) {
                 UpdatesPoll::Unknown => {
                     respond(
                         conn,
-                        state,
+                        &mut requests.metrics,
                         "/v1/stream/updates",
                         &Response {
                             status: 404,
@@ -941,7 +893,7 @@ fn dispatch_stream(
                 UpdatesPoll::Busy => {
                     respond(
                         conn,
-                        state,
+                        &mut requests.metrics,
                         "/v1/stream/updates",
                         &Response {
                             status: 503,
@@ -961,7 +913,7 @@ fn dispatch_stream(
                 bytes.extend_from_slice(chunk_frame(&format!("{}\n", update.body)).as_bytes());
             }
             bytes.extend_from_slice(CHUNKED_TERMINATOR.as_bytes());
-            state
+            requests
                 .metrics
                 .record("/v1/stream/updates", 200, started.elapsed());
             conn.out.push_back(Chunk::Owned(bytes));
@@ -973,7 +925,7 @@ fn dispatch_stream(
         (_, Some(_)) => {
             respond(
                 conn,
-                state,
+                &mut requests.metrics,
                 "other",
                 &Response {
                     status: 405,
@@ -987,7 +939,7 @@ fn dispatch_stream(
         (_, None) => {
             respond(
                 conn,
-                state,
+                &mut requests.metrics,
                 "other",
                 &Response {
                     status: 404,
@@ -1003,7 +955,14 @@ fn dispatch_stream(
     let body = match parse_model_body(&request.body) {
         Ok(body) => body,
         Err(response) => {
-            respond(conn, state, label, &response, started, keep_alive);
+            respond(
+                conn,
+                &mut requests.metrics,
+                label,
+                &response,
+                started,
+                keep_alive,
+            );
             return;
         }
     };
@@ -1014,12 +973,19 @@ fn dispatch_stream(
             Some(id) => Work::StreamDelta { id, body },
         },
     };
-    if jobs.send(job).is_err() {
+    if requests.jobs.send(job).is_err() {
         let response = Response {
             status: 503,
             body: error_body("server is shutting down"),
         };
-        respond(conn, state, label, &response, started, keep_alive);
+        respond(
+            conn,
+            &mut requests.metrics,
+            label,
+            &response,
+            started,
+            keep_alive,
+        );
         return;
     }
     conn.waiting = Some(Waiting {
@@ -1048,15 +1014,13 @@ fn parse_model_body(raw: &[u8]) -> Result<Json, Response> {
 /// Records metrics for an inline response and queues its bytes.
 fn respond(
     conn: &mut Conn,
-    state: &State,
+    metrics: &mut Metrics,
     endpoint: &'static str,
     response: &Response,
     started: Instant,
     keep_alive: bool,
 ) {
-    state
-        .metrics
-        .record(endpoint, response.status, started.elapsed());
+    metrics.record(endpoint, response.status, started.elapsed());
     queue_response(conn, response, keep_alive);
     if !keep_alive {
         conn.close_after_flush = true;

@@ -16,6 +16,7 @@ use memsense_model::solver::solve_cpi;
 use memsense_model::system::SystemConfig;
 use memsense_model::workload::WorkloadParams;
 use memsense_serve::bench::{self, BenchConfig};
+use memsense_serve::cache::ENTRY_OVERHEAD;
 use memsense_serve::http::Client;
 use memsense_serve::server::{Server, ServerConfig};
 
@@ -184,6 +185,66 @@ fn cache_hit_is_byte_identical_and_ignores_formatting() {
     assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(1));
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
     assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(1));
+
+    server.stop();
+    server.join();
+}
+
+#[test]
+fn small_cache_budget_evicts_lru_and_keeps_bodies_byte_identical() {
+    let bodies = [
+        r#"{"workloads": ["big data"]}"#,
+        r#"{"workloads": ["enterprise"]}"#,
+        r#"{"workloads": ["hpc"]}"#,
+        r#"{"workloads": ["spark"]}"#,
+    ];
+    // Reference responses from a server with the default budget.
+    let mut reference = start();
+    let firsts: Vec<String> = bodies
+        .iter()
+        .map(|body| {
+            let (status, response) = call(&reference, "POST", "/v1/sweep/bandwidth", body);
+            assert_eq!(status, 200, "{response}");
+            response
+        })
+        .collect();
+    reference.stop();
+    reference.join();
+
+    // A budget that holds any two of the four entries but no three.
+    let charges: Vec<usize> = bodies
+        .iter()
+        .zip(&firsts)
+        .map(|(body, response)| {
+            let key = format!("POST /v1/sweep/bandwidth#{}", parsed(body).canonical());
+            key.len() + response.len() + ENTRY_OVERHEAD
+        })
+        .collect();
+    let budget = 2 * charges.iter().max().unwrap();
+    assert!(3 * charges.iter().min().unwrap() > budget, "{charges:?}");
+    let mut server = Server::start(&ServerConfig {
+        cache_budget: budget,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+
+    // Round-robin twice: one LRU of two entries misses every time.
+    for _ in 0..2 {
+        for (body, first) in bodies.iter().zip(&firsts) {
+            let (status, response) = call(&server, "POST", "/v1/sweep/bandwidth", body);
+            assert_eq!(status, 200);
+            assert_eq!(&response, first, "a recomputed body must be byte-identical");
+        }
+    }
+    let (_, metrics) = call(&server, "GET", "/metrics", "");
+    let cache = parsed(&metrics).get("cache").unwrap().clone();
+    let count = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap();
+    assert_eq!(count("hits"), 0);
+    assert_eq!(count("misses"), 8);
+    assert_eq!(count("evictions"), 6);
+    assert_eq!(count("rejected"), 0);
+    assert_eq!(count("entries"), 2);
+    assert!(count("bytes") <= budget as u64, "{metrics}");
 
     server.stop();
     server.join();
