@@ -99,7 +99,7 @@ impl ResultCache {
             inner.misses += 1;
             return None;
         };
-        // Move the index's own key string to the new sequence number.
+        // Reuse the index's key string rather than allocating a new one.
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let indexed = inner
@@ -310,9 +310,8 @@ mod tests {
     }
 
     #[test]
-    fn entry_larger_than_a_sixteenth_of_the_budget_is_stored() {
-        // One LRU spends the whole budget: an entry costing more than
-        // `budget / 16` (the old per-shard slice) but within the budget is
+    fn entry_within_the_whole_budget_is_stored() {
+        // One LRU spends the whole budget: an entry costing half of it is
         // cached, not rejected.
         let budget = fits(4, 1, 9);
         let cache = ResultCache::new(budget);
