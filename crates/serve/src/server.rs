@@ -386,7 +386,8 @@ struct Reactor {
 
 /// What request handling needs besides the connection: held apart from
 /// `Reactor::conns` so a connection and this state can be borrowed at once.
-/// Only the reactor thread touches it, so none of it is locked.
+/// Only the reactor thread uses it; of its parts, only `state` is shared
+/// with the workers.
 struct Requests {
     state: Arc<State>,
     flight: SingleFlight,
