@@ -8,6 +8,12 @@
 //! a refcount instead of copying, and the returned body is byte-identical to
 //! the originally computed response.
 //!
+//! Repeated requests need not re-derive the key: [`ResultCache::alias`] ties
+//! the raw request bytes to a stored entry, and [`ResultCache::get_alias`]
+//! then answers a byte-identical repeat without parsing or canonicalizing
+//! it. An alias is charged to the byte budget and leaves with its entry, so
+//! it can never outlive or disagree with the body it points at.
+//!
 //! The server's reactor thread is the only caller, so one mutex guards one
 //! LRU: it is never contended, and it keeps the cache `Send + Sync` for
 //! callers that share it across threads.
@@ -27,11 +33,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Default byte budget (64 MiB) — thousands of sweep responses.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 * 1024 * 1024;
 
-/// Bytes charged per entry on top of key + body length: approximates the
-/// `Entry` struct, the hash-map node, the recency-index node, and the two
-/// `String`/`Arc` headers. Without this, byte accounting undercounts real
-/// memory by ~100 bytes per entry, which a flood of tiny entries turns into
-/// unbounded growth.
+/// Bytes charged per entry (and per alias) on top of its key + body (or raw
+/// bytes) length: approximates the `Entry` struct, the hash-map node, the
+/// recency-index node, and the `Arc` headers. Without this, byte accounting
+/// undercounts real memory by ~100 bytes per entry, which a flood of tiny
+/// entries turns into unbounded growth.
 pub const ENTRY_OVERHEAD: usize = 128;
 
 /// Point-in-time cache counters, for `/metrics`.
@@ -47,7 +53,8 @@ pub struct CacheStats {
     pub rejected: u64,
     /// Entries currently stored.
     pub entries: usize,
-    /// Bytes currently charged (keys + bodies + per-entry overhead).
+    /// Bytes currently charged (keys + bodies + aliases + per-entry
+    /// overhead).
     pub bytes: usize,
 }
 
@@ -55,13 +62,17 @@ pub struct CacheStats {
 struct Entry {
     body: Arc<str>,
     seq: u64,
+    /// Raw request bytes aliased to this entry; they leave with it.
+    aliases: Vec<Arc<[u8]>>,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<String, Entry>,
+    map: HashMap<Arc<str>, Entry>,
     /// Recency index: sequence number → key. Oldest first.
-    order: BTreeMap<u64, String>,
+    order: BTreeMap<u64, Arc<str>>,
+    /// Raw request bytes → the key of the entry they canonicalize to.
+    by_raw: HashMap<Arc<[u8]>, Arc<str>>,
     next_seq: u64,
     bytes: usize,
     hits: u64,
@@ -77,9 +88,51 @@ pub struct ResultCache {
     budget: usize,
 }
 
-/// What one entry costs against the byte budget.
-fn charge(key: &str, body: &str) -> usize {
-    key.len() + body.len() + ENTRY_OVERHEAD
+/// What one entry (`value` = its body) or alias (`value` = its raw request
+/// bytes) costs against the byte budget.
+fn charge(key: &str, value: &[u8]) -> usize {
+    key.len() + value.len() + ENTRY_OVERHEAD
+}
+
+impl Inner {
+    /// Returns the body under `key` and makes it the most recently used,
+    /// counting a hit. The index's key `Arc` moves to the new sequence number.
+    fn touch(&mut self, key: &str) -> Option<Arc<str>> {
+        let entry = self.map.get_mut(key)?;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if let Some(indexed) = self.order.remove(&entry.seq) {
+            self.order.insert(seq, indexed);
+        }
+        entry.seq = seq;
+        self.hits += 1;
+        Some(Arc::clone(&entry.body))
+    }
+
+    /// Drops the entry under `key` and its aliases, releasing their charge.
+    /// Returns the entry's sequence number.
+    fn remove(&mut self, key: &str) -> Option<u64> {
+        let entry = self.map.remove(key)?;
+        self.bytes -= charge(key, entry.body.as_bytes());
+        for raw in &entry.aliases {
+            self.by_raw.remove(raw);
+            self.bytes -= charge(key, raw);
+        }
+        Some(entry.seq)
+    }
+
+    /// Evicts least recently used entries until the charge fits `budget`.
+    fn evict_to(&mut self, budget: usize) {
+        while self.bytes > budget {
+            // `pop_first` keeps eviction panic-free: the loop simply stops
+            // if the recency index ever runs dry.
+            let Some((_, victim)) = self.order.pop_first() else {
+                break;
+            };
+            self.remove(&victim);
+            self.evictions += 1;
+        }
+    }
 }
 
 impl ResultCache {
@@ -93,23 +146,43 @@ impl ResultCache {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<str>> {
+        let mut inner = self.lock();
+        let hit = inner.touch(key);
+        if hit.is_none() {
+            inner.misses += 1;
+        }
+        hit
+    }
+
+    /// Looks up the entry that `raw` request bytes were aliased to, refreshing
+    /// its recency on a hit. A hit counts like one from [`get`](Self::get); a
+    /// miss counts nothing, because the caller then derives the key and
+    /// calls `get`, which counts it.
+    pub fn get_alias(&self, raw: &[u8]) -> Option<Arc<str>> {
+        let mut inner = self.lock();
+        let key = Arc::clone(inner.by_raw.get(raw)?);
+        inner.touch(&key)
+    }
+
+    /// Ties `raw` request bytes to the stored entry under `key`, so a
+    /// byte-identical repeat is answered by [`get_alias`](Self::get_alias).
+    /// The alias is charged like an entry whose body is `raw`, may evict
+    /// least recently used entries, and is dropped with its entry. Nothing
+    /// happens if `key` is not stored or `raw` is already aliased.
+    pub fn alias(&self, raw: &[u8], key: &str) {
         let mut guard = self.lock();
         let inner = &mut *guard;
+        if inner.by_raw.contains_key(raw) {
+            return;
+        }
         let Some(entry) = inner.map.get_mut(key) else {
-            inner.misses += 1;
-            return None;
+            return;
         };
-        // Reuse the index's key string rather than allocating a new one.
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let indexed = inner
-            .order
-            .remove(&entry.seq)
-            .unwrap_or_else(|| key.to_string());
-        inner.order.insert(seq, indexed);
-        entry.seq = seq;
-        inner.hits += 1;
-        Some(Arc::clone(&entry.body))
+        let raw: Arc<[u8]> = Arc::from(raw);
+        entry.aliases.push(Arc::clone(&raw));
+        inner.bytes += charge(key, &raw);
+        inner.by_raw.insert(raw, Arc::from(key));
+        inner.evict_to(self.budget);
     }
 
     /// Stores `body` under `key`, evicting least recently used entries past
@@ -117,38 +190,29 @@ impl ResultCache {
     /// charge (key + body + [`ENTRY_OVERHEAD`]) exceeds the budget is
     /// rejected up front, before any eviction — never after wiping the cache.
     pub fn put(&self, key: &str, body: &Arc<str>) -> bool {
-        let cost = charge(key, body);
+        let cost = charge(key, body.as_bytes());
         let mut inner = self.lock();
         if cost > self.budget {
             inner.rejected += 1;
             return false;
         }
-        if let Some(existing) = inner.map.remove(key) {
-            inner.order.remove(&existing.seq);
-            inner.bytes -= charge(key, &existing.body);
+        if let Some(seq) = inner.remove(key) {
+            inner.order.remove(&seq);
         }
         let seq = inner.next_seq;
         inner.next_seq += 1;
+        let key: Arc<str> = Arc::from(key);
         inner.map.insert(
-            key.to_string(),
+            Arc::clone(&key),
             Entry {
                 body: Arc::clone(body),
                 seq,
+                aliases: Vec::new(),
             },
         );
-        inner.order.insert(seq, key.to_string());
+        inner.order.insert(seq, key);
         inner.bytes += cost;
-        while inner.bytes > self.budget {
-            // `pop_first` keeps eviction panic-free: the loop simply stops
-            // if the recency index ever runs dry.
-            let Some((_, victim)) = inner.order.pop_first() else {
-                break;
-            };
-            if let Some(entry) = inner.map.remove(&victim) {
-                inner.bytes -= charge(&victim, &entry.body);
-            }
-            inner.evictions += 1;
-        }
+        inner.evict_to(self.budget);
         true
     }
 
@@ -339,6 +403,35 @@ mod tests {
         // The newest keys survive; the oldest were evicted first.
         assert!(cache.get("key-0499").is_some());
         assert_eq!(cache.get("key-0000"), None);
+    }
+
+    #[test]
+    fn alias_is_charged_answers_repeats_and_leaves_with_its_entry() {
+        let cache = ResultCache::new(fits(3, 1, 9));
+        cache.put("k", &body("123456789"));
+        cache.alias(b"raw", "k");
+        cache.alias(b"raw", "k"); // already aliased: not charged twice
+        cache.alias(b"other", "absent"); // no entry: ignored
+        assert_eq!(cache.get_alias(b"other"), None, "a miss counts nothing");
+        assert_eq!(cache.get_alias(b"raw").as_deref(), Some("123456789"));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 0, 1));
+        assert_eq!(stats.bytes, fits(1, 1, 9) + (1 + 3 + ENTRY_OVERHEAD));
+
+        // Re-storing the key drops its aliases along with the old body.
+        cache.put("k", &body("987654321"));
+        assert_eq!(cache.get_alias(b"raw"), None);
+        assert_eq!(cache.stats().bytes, fits(1, 1, 9));
+
+        // Evicting the entry releases its alias and the alias's charge.
+        cache.alias(b"raw", "k");
+        for key in ["a", "b", "c"] {
+            cache.put(key, &body("123456789"));
+        }
+        assert_eq!(cache.get("k"), None, "LRU entry evicted");
+        assert_eq!(cache.get_alias(b"raw"), None);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.bytes), (3, fits(3, 1, 9)));
     }
 
     #[test]

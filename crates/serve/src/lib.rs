@@ -46,7 +46,9 @@
 //!   canonicalized request (method + path + key-sorted body) → response
 //!   body behind `Arc<str>`, one LRU under one byte budget (keys, bodies,
 //!   and per-entry overhead all charged); repeated sweep queries are
-//!   served without re-solving and return byte-identical bodies.
+//!   served without re-solving and return byte-identical bodies. A raw
+//!   request-bytes alias, charged and evicted with its entry, lets a
+//!   byte-identical repeat skip the parse and canonicalization.
 //! * [`metrics`] — per-endpoint request counts and nearest-rank latency
 //!   percentiles (via `memsense-stats`), plus cache and single-flight
 //!   counters.

@@ -35,7 +35,9 @@
 //!
 //! Caching: successful `POST /v1/*` responses are stored in the
 //! content-addressed [`ResultCache`] under the same key. A hit skips the
-//! model entirely and returns the original body byte-for-byte.
+//! model entirely and returns the original body byte-for-byte, and aliases
+//! the request's raw bytes to the entry: a byte-identical repeat is then
+//! answered before its body is parsed at all.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -396,6 +398,41 @@ struct Requests {
     jobs: Sender<Job>,
 }
 
+impl Requests {
+    /// Records metrics for an inline response and queues its bytes.
+    fn respond(
+        &mut self,
+        conn: &mut Conn,
+        endpoint: &'static str,
+        response: &Response,
+        started: Instant,
+        keep_alive: bool,
+    ) {
+        self.metrics
+            .record(endpoint, response.status, started.elapsed());
+        queue_response(conn, response, keep_alive);
+        if !keep_alive {
+            conn.close_after_flush = true;
+        }
+    }
+
+    /// Records metrics for a cache hit and queues the shared body.
+    fn answer_hit(
+        &mut self,
+        conn: &mut Conn,
+        endpoint: &'static str,
+        body: &Arc<str>,
+        started: Instant,
+        keep_alive: bool,
+    ) {
+        self.metrics.record(endpoint, 200, started.elapsed());
+        queue_shared(conn, 200, body, keep_alive);
+        if !keep_alive {
+            conn.close_after_flush = true;
+        }
+    }
+}
+
 impl Reactor {
     fn run(mut self) {
         let mut events = Vec::new();
@@ -520,7 +557,10 @@ impl Reactor {
     /// bytes. Drops the connection on transport errors or clean teardown.
     fn pump(&mut self, token: u64) {
         let Reactor {
-            conns, requests, ..
+            conns,
+            requests,
+            wake,
+            ..
         } = self;
         let Some(conn) = conns.get_mut(&token) else {
             return;
@@ -567,7 +607,7 @@ impl Reactor {
                 }
                 Parse::Complete(request, consumed) => {
                     conn.rbuf.drain(..consumed);
-                    dispatch(conn, token, &request, requests);
+                    dispatch(conn, token, &request, requests, wake);
                 }
             }
         }
@@ -662,7 +702,13 @@ impl Reactor {
 /// Routes one parsed request. Fast endpoints (and every error) are answered
 /// inline; model endpoints consult the cache and otherwise enter the
 /// single-flight table, parking the connection until a worker completes.
-fn dispatch(conn: &mut Conn, token: u64, request: &Request, requests: &mut Requests) {
+fn dispatch(
+    conn: &mut Conn,
+    token: u64,
+    request: &Request,
+    requests: &mut Requests,
+    wake: &EventFd,
+) {
     // Decided before any route side effect: the response that *requests*
     // shutdown still says keep-alive; every request parsed after the flag is
     // set closes.
@@ -704,9 +750,8 @@ fn dispatch(conn: &mut Conn, token: u64, request: &Request, requests: &mut Reque
             ),
         ),
         ("POST", "/v1/admin/shutdown") => {
-            // No wakeup needed: the event loop checks the flag right after
-            // this batch of events.
             state.shutdown.store(true, Ordering::SeqCst);
+            wake.notify();
             (
                 "/v1/admin/shutdown",
                 Response::ok(Json::obj(vec![("status", Json::str("shutting-down"))]).to_string()),
@@ -731,19 +776,12 @@ fn dispatch(conn: &mut Conn, token: u64, request: &Request, requests: &mut Reque
             },
         ),
     };
-    respond(
-        conn,
-        &mut requests.metrics,
-        label,
-        &response,
-        started,
-        keep_alive,
-    );
+    requests.respond(conn, label, &response, started, keep_alive);
 }
 
-/// Routes one model-endpoint request: parses and canonicalizes the body into
-/// the cache key, answers a cache hit inline, and otherwise joins or leads a
-/// single flight.
+/// Routes one model-endpoint request: answers a cached raw-bytes alias
+/// inline, else parses and canonicalizes the body into the cache key,
+/// answers a cache hit inline, and otherwise joins or leads a single flight.
 fn dispatch_model(
     conn: &mut Conn,
     token: u64,
@@ -754,17 +792,24 @@ fn dispatch_model(
     started: Instant,
 ) {
     let label = endpoint.label();
+    // A byte-identical repeat of a request whose response is cached is
+    // answered by its alias, skipping the parse and the canonical key.
+    let raw = [
+        request.method.as_bytes(),
+        b" ",
+        request.path.as_bytes(),
+        b"\n",
+        &request.body,
+    ]
+    .concat();
+    if let Some(hit) = requests.cache.get_alias(&raw) {
+        requests.answer_hit(conn, label, &hit, started, keep_alive);
+        return;
+    }
     let body = match parse_model_body(&request.body) {
         Ok(body) => body,
         Err(response) => {
-            respond(
-                conn,
-                &mut requests.metrics,
-                label,
-                &response,
-                started,
-                keep_alive,
-            );
+            requests.respond(conn, label, &response, started, keep_alive);
             return;
         }
     };
@@ -784,11 +829,8 @@ fn dispatch_model(
         return;
     }
     if let Some(hit) = requests.cache.get(&key) {
-        requests.metrics.record(label, 200, started.elapsed());
-        queue_shared(conn, 200, &hit, keep_alive);
-        if !keep_alive {
-            conn.close_after_flush = true;
-        }
+        requests.cache.alias(&raw, &key);
+        requests.answer_hit(conn, label, &hit, started, keep_alive);
         return;
     }
     if requests.flight.admit(&key, token) == Admission::Lead
@@ -806,14 +848,7 @@ fn dispatch_model(
             status: 503,
             body: error_body("server is shutting down"),
         };
-        respond(
-            conn,
-            &mut requests.metrics,
-            label,
-            &response,
-            started,
-            keep_alive,
-        );
+        requests.respond(conn, label, &response, started, keep_alive);
         return;
     }
     conn.waiting = Some(waiting);
@@ -878,9 +913,8 @@ fn dispatch_stream(
             // connection on the server.
             let response = match requests.state.streams.take_updates(id) {
                 UpdatesPoll::Unknown => {
-                    respond(
+                    requests.respond(
                         conn,
-                        &mut requests.metrics,
                         "/v1/stream/updates",
                         &Response {
                             status: 404,
@@ -892,9 +926,8 @@ fn dispatch_stream(
                     return;
                 }
                 UpdatesPoll::Busy => {
-                    respond(
+                    requests.respond(
                         conn,
-                        &mut requests.metrics,
                         "/v1/stream/updates",
                         &Response {
                             status: 503,
@@ -924,9 +957,8 @@ fn dispatch_stream(
             return;
         }
         (_, Some(_)) => {
-            respond(
+            requests.respond(
                 conn,
-                &mut requests.metrics,
                 "other",
                 &Response {
                     status: 405,
@@ -938,9 +970,8 @@ fn dispatch_stream(
             return;
         }
         (_, None) => {
-            respond(
+            requests.respond(
                 conn,
-                &mut requests.metrics,
                 "other",
                 &Response {
                     status: 404,
@@ -956,14 +987,7 @@ fn dispatch_stream(
     let body = match parse_model_body(&request.body) {
         Ok(body) => body,
         Err(response) => {
-            respond(
-                conn,
-                &mut requests.metrics,
-                label,
-                &response,
-                started,
-                keep_alive,
-            );
+            requests.respond(conn, label, &response, started, keep_alive);
             return;
         }
     };
@@ -979,14 +1003,7 @@ fn dispatch_stream(
             status: 503,
             body: error_body("server is shutting down"),
         };
-        respond(
-            conn,
-            &mut requests.metrics,
-            label,
-            &response,
-            started,
-            keep_alive,
-        );
+        requests.respond(conn, label, &response, started, keep_alive);
         return;
     }
     conn.waiting = Some(Waiting {
@@ -1010,22 +1027,6 @@ fn parse_model_body(raw: &[u8]) -> Result<Json, Response> {
         status: 400,
         body: error_body(&format!("invalid JSON: {e}")),
     })
-}
-
-/// Records metrics for an inline response and queues its bytes.
-fn respond(
-    conn: &mut Conn,
-    metrics: &mut Metrics,
-    endpoint: &'static str,
-    response: &Response,
-    started: Instant,
-    keep_alive: bool,
-) {
-    metrics.record(endpoint, response.status, started.elapsed());
-    queue_response(conn, response, keep_alive);
-    if !keep_alive {
-        conn.close_after_flush = true;
-    }
 }
 
 fn known_path(path: &str) -> bool {

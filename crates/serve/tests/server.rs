@@ -191,6 +191,42 @@ fn cache_hit_is_byte_identical_and_ignores_formatting() {
 }
 
 #[test]
+fn repeated_raw_requests_hit_through_charged_aliases() {
+    let mut server = start();
+    let path = "/v1/sweep/latency";
+    let first = r#"{"workloads": ["big data"], "steps_ns": [0, 10, 20]}"#;
+    let second = r#"{ "steps_ns": [ -0.0, 10.0, 2e1 ], "workloads": ["big data"] }"#;
+
+    // The first request misses; every later one hits, the second spelling's
+    // first request through the canonical key, repeats through their alias.
+    let (_, reference) = call(&server, "POST", path, first);
+    for body in [first, first, second, second] {
+        let (status, response) = call(&server, "POST", path, body);
+        assert_eq!(status, 200);
+        assert_eq!(response, reference, "a hit must be byte-identical");
+    }
+
+    let (_, metrics) = call(&server, "GET", "/metrics", "");
+    let cache = parsed(&metrics).get("cache").unwrap().clone();
+    let count = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap();
+    assert_eq!(
+        (count("hits"), count("misses"), count("entries")),
+        (4, 1, 1)
+    );
+    // One entry plus one alias per raw spelling, each charged like an entry.
+    let key = format!("POST {path}#{}", parsed(first).canonical());
+    let alias = |body: &str| key.len() + format!("POST {path}\n{body}").len() + ENTRY_OVERHEAD;
+    let entry = key.len() + reference.len() + ENTRY_OVERHEAD;
+    assert_eq!(
+        count("bytes"),
+        (entry + alias(first) + alias(second)) as u64
+    );
+
+    server.stop();
+    server.join();
+}
+
+#[test]
 fn small_cache_budget_evicts_lru_and_keeps_bodies_byte_identical() {
     let bodies = [
         r#"{"workloads": ["big data"]}"#,
