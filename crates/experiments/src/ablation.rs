@@ -20,7 +20,7 @@ use memsense_model::workload::WorkloadParams;
 use memsense_sim::config::MemoryConfig;
 use memsense_workloads::Workload;
 
-use crate::calibrate::{calibrate, measure_at, CalibratedWorkload, CalibrationBudget};
+use crate::calibrate::{measure_at, CalibratedWorkload, CalibrationBudget};
 use crate::render::{f, Table};
 use crate::ExperimentError;
 
@@ -121,17 +121,17 @@ pub struct PrefetchAblation {
 
 /// Ablation 3: calibrate with the prefetcher disabled and compare BF — the
 /// Sec. VII claim that better prefetching lowers the blocking factor, run in
-/// reverse.
+/// reverse. `on` is the workload's ordinary (prefetch-on) calibration at the
+/// same `budget`, so callers that already hold it do not sweep it again.
 ///
 /// # Errors
 ///
 /// Propagates calibration failures.
 pub fn prefetch_ablation(
-    workload: Workload,
+    on: &CalibratedWorkload,
     budget: &CalibrationBudget,
 ) -> Result<PrefetchAblation, ExperimentError> {
-    let on = calibrate(workload, budget)?;
-
+    let workload = on.workload;
     // Re-run the sweep with prefetching off.
     let mut samples = Vec::new();
     for memory in [MemoryConfig::ddr3_1867(), MemoryConfig::ddr3_1333()] {
@@ -203,6 +203,7 @@ pub fn pathlength_cv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibrate::calibrate;
 
     #[test]
     fn implied_bf_brackets_fitted_bf() {
@@ -233,7 +234,9 @@ mod tests {
 
     #[test]
     fn prefetcher_off_raises_bf_for_streaming_workload() {
-        let ab = prefetch_ablation(Workload::Bwaves, &CalibrationBudget::quick()).unwrap();
+        let budget = CalibrationBudget::quick();
+        let on = calibrate(Workload::Bwaves, &budget).unwrap();
+        let ab = prefetch_ablation(&on, &budget).unwrap();
         assert!(
             ab.bf_prefetch_off > ab.bf_prefetch_on + 0.03,
             "prefetcher must lower BF: on {} off {}",

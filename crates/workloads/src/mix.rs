@@ -24,6 +24,35 @@ pub type ExtraCycleDist = [f64; 5];
 
 const EXTRA_CYCLE_VALUES: [u32; 5] = [0, 1, 2, 4, 8];
 
+/// Extra cycles of a compute op, indexed by how many running sums of the
+/// distribution a draw reaches. The trailing 0 is a draw at or above the
+/// last sum, which a distribution summing to just under 1 leaves room for.
+const EXTRA_CYCLES_BY_RANK: [u32; 6] = [0, 1, 2, 4, 8, 0];
+
+/// Running sums of `dist`, accumulated in bucket order.
+fn extra_cycle_cdf(dist: &ExtraCycleDist) -> [f64; 5] {
+    let mut acc = 0.0;
+    dist.map(|p| {
+        acc += p;
+        acc
+    })
+}
+
+/// Extra cycles for the draw `u`. Its bucket is the first whose running sum
+/// exceeds `u`; with non-negative probabilities that is the count of sums at
+/// or below `u`, which needs no branch.
+fn extra_cycles(cdf: &[f64; 5], u: f64) -> u32 {
+    let rank: usize = cdf.iter().map(|&c| usize::from(c <= u)).sum();
+    EXTRA_CYCLES_BY_RANK[rank]
+}
+
+/// Fills `out` with compute ops, one `f64` draw each, in order.
+fn fill_compute(rng: &mut SmallRng, cdf: &[f64; 5], out: &mut [Op]) {
+    for op in out {
+        *op = Op::compute_heavy(extra_cycles(cdf, rng.gen()));
+    }
+}
+
 /// Per-unit-of-work ratios defining a workload. Counts may be fractional;
 /// the generator carries credit across units.
 #[derive(Debug, Clone)]
@@ -152,6 +181,12 @@ impl MixSpec {
     /// Panics on an invalid spec (these are compiled-in constants, so a bad
     /// spec is a programming error, not a runtime condition).
     pub fn assert_valid(&self) {
+        // The compute draw relies on non-decreasing running sums.
+        assert!(
+            self.extra_dist.iter().all(|&p| p >= 0.0),
+            "{}: extra_dist has a negative probability",
+            self.name
+        );
         let sum: f64 = self.extra_dist.iter().sum();
         assert!(
             (sum - 1.0).abs() < 1e-9,
@@ -206,6 +241,8 @@ pub struct MixWorkload {
     buf: Vec<Op>,
     head: usize,
     rng: SmallRng,
+    /// Running sums of `spec.extra_dist` (see [`fill_compute`]).
+    extra_cdf: [f64; 5],
     scan: ScanKind,
     store_scan: SequentialScan,
     nt_scan: SequentialScan,
@@ -278,6 +315,7 @@ impl MixWorkload {
                 None
             },
             rng: mix_rng(seed),
+            extra_cdf: extra_cycle_cdf(&spec.extra_dist),
             scan,
             spec,
             buf: Vec::new(),
@@ -300,16 +338,11 @@ impl MixWorkload {
         &self.spec
     }
 
-    fn compute_op(&mut self) -> Op {
-        let u: f64 = self.rng.gen();
-        let mut acc = 0.0;
-        for (p, v) in self.spec.extra_dist.iter().zip(EXTRA_CYCLE_VALUES) {
-            acc += p;
-            if u < acc {
-                return Op::compute_heavy(v);
-            }
-        }
-        Op::compute()
+    /// Appends `n` compute ops to `buf`.
+    fn push_compute(&mut self, n: usize) {
+        let start = self.buf.len();
+        self.buf.resize(start + n, Op::compute());
+        fill_compute(&mut self.rng, &self.extra_cdf, &mut self.buf[start..]);
     }
 
     fn refill(&mut self) {
@@ -413,10 +446,7 @@ impl MixWorkload {
                 }
                 let n = per_slot + usize::from(extra_budget > 0);
                 extra_budget = extra_budget.saturating_sub(1);
-                for _ in 0..n {
-                    let op = self.compute_op();
-                    self.buf.push(op);
-                }
+                self.push_compute(n);
                 if idle_chunk > 0 {
                     self.buf.push(Op::idle(idle_chunk));
                     idle_left -= idle_chunk;
@@ -424,10 +454,7 @@ impl MixWorkload {
             }
         }
         if slots == 1 && self.buf.is_empty() {
-            for _ in 0..compute {
-                let op = self.compute_op();
-                self.buf.push(op);
-            }
+            self.push_compute(compute as usize);
         }
         if idle_left > 0 {
             self.buf.push(Op::idle(idle_left));
@@ -484,6 +511,83 @@ impl InstructionStream for MixWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The early-return scan over running sums that the branchless draw
+    /// must match bucket for bucket.
+    fn linear_scan_extra_cycles(dist: &ExtraCycleDist, u: f64) -> u32 {
+        let mut acc = 0.0;
+        for (p, v) in dist.iter().zip(EXTRA_CYCLE_VALUES) {
+            acc += p;
+            if u < acc {
+                return v;
+            }
+        }
+        0
+    }
+
+    /// A valid distribution from five `(keep, weight)` pairs: a bucket is
+    /// zero when `keep` is 0, and the total falls `shortfall` short of 1.
+    fn dist_from(weights: &[(u32, f64)], shortfall: f64) -> Option<ExtraCycleDist> {
+        let mut dist = [0.0; 5];
+        for (p, &(keep, w)) in dist.iter_mut().zip(weights) {
+            *p = if keep == 0 { 0.0 } else { w };
+        }
+        let total: f64 = dist.iter().sum();
+        if total <= 0.0 {
+            return None;
+        }
+        let scale = (1.0 - shortfall) / total;
+        for p in &mut dist {
+            *p *= scale;
+        }
+        Some(dist)
+    }
+
+    proptest! {
+        #[test]
+        fn branchless_draw_matches_linear_scan(
+            weights in collection::vec((0u32..3, 0.0f64..1.0), 5..6),
+            shortfall in 0.0f64..0.9e-9,
+            draws in collection::vec(0.0f64..1.0, 1..64),
+        ) {
+            let dist = dist_from(&weights, shortfall);
+            prop_assume!(dist.is_some());
+            let dist = dist.unwrap();
+            MixSpec { extra_dist: dist, ..MixSpec::base("draw") }.assert_valid();
+            let cdf = extra_cycle_cdf(&dist);
+            // Every running sum exactly, and its neighbours on either side.
+            let thresholds = cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
+            for u in draws.iter().copied().chain(thresholds).chain([0.0]) {
+                prop_assert_eq!(
+                    extra_cycles(&cdf, u),
+                    linear_scan_extra_cycles(&dist, u),
+                    "u = {u:e}, dist = {dist:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn fill_compute_draws_in_order(
+            weights in collection::vec((0u32..3, 0.0f64..1.0), 5..6),
+            seed in 0u64..=u64::MAX,
+            n in 0usize..200,
+        ) {
+            let dist = dist_from(&weights, 0.0);
+            prop_assume!(dist.is_some());
+            let dist = dist.unwrap();
+            let mut out = vec![Op::idle(7); n];
+            let mut rng = mix_rng(seed);
+            fill_compute(&mut rng, &extra_cycle_cdf(&dist), &mut out);
+            let mut twin = mix_rng(seed);
+            for op in &out {
+                let want = linear_scan_extra_cycles(&dist, twin.gen());
+                prop_assert_eq!(*op, Op::compute_heavy(want));
+            }
+            // Both consumed the same number of draws.
+            prop_assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
+        }
+    }
 
     fn spec() -> MixSpec {
         MixSpec {

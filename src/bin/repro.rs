@@ -172,12 +172,23 @@ fn calibrations() -> Result<&'static Vec<CalibratedWorkload>, StageError> {
     static CACHE: OnceLock<Result<Vec<CalibratedWorkload>, String>> = OnceLock::new();
     CACHE
         .get_or_init(|| {
-            eprintln!("[calibrating all 12 workloads: frequency × memory sweeps …]");
+            eprintln!(
+                "[calibrating all {} workloads: frequency × memory sweeps …]",
+                Workload::all().len()
+            );
             calibrate_all(&CalibrationBudget::default())
                 .map_err(|e| format!("calibration failed: {e}"))
         })
         .as_ref()
         .map_err(|e| StageError::from(e.clone()))
+}
+
+/// One workload's entry in [`calibrations`].
+fn calibration(workload: Workload) -> Result<&'static CalibratedWorkload, StageError> {
+    calibrations()?
+        .iter()
+        .find(|c| c.workload == workload)
+        .ok_or_else(|| format!("{} missing from calibration set", workload.name()).into())
 }
 
 fn model_inputs() -> (
@@ -352,11 +363,7 @@ fn run_target(target: &str, out: &Path, buf: &mut String) -> Result<(), StageErr
         }
         "tab2" => emit(buf, &tables::tab2(calibrations()?), out, "tab2")?,
         "tab3" => {
-            let cal = calibrations()?
-                .iter()
-                .find(|c| c.workload == Workload::StructuredData)
-                .ok_or("structured data missing from calibration set")?
-                .clone();
+            let cal = calibration(Workload::StructuredData)?.clone();
             let v = validate::validate_calibration(cal);
             emit(buf, &v.to_table(), out, "tab3")?;
         }
@@ -687,14 +694,18 @@ fn run_target(target: &str, out: &Path, buf: &mut String) -> Result<(), StageErr
                 "Ablation: prefetcher effect on blocking factor",
                 &["workload", "bf_on", "bf_off"],
             );
-            // The two prefetch ablations calibrate independent machines.
+            // The prefetch-on side is the cached calibration; the two
+            // prefetch-off sweeps simulate independent machines.
             let rows = executor::par_map_full(
-                vec![Workload::Bwaves, Workload::StructuredData],
-                |_, w| format!("ablation/prefetch {}", w.name()),
-                |w| -> Result<Vec<String>, memsense_experiments::ExperimentError> {
-                    let ab = ablation::prefetch_ablation(w, &CalibrationBudget::default())?;
+                vec![
+                    calibration(Workload::Bwaves)?,
+                    calibration(Workload::StructuredData)?,
+                ],
+                |_, cal| format!("ablation/prefetch {}", cal.workload.name()),
+                |cal| -> Result<Vec<String>, memsense_experiments::ExperimentError> {
+                    let ab = ablation::prefetch_ablation(cal, &CalibrationBudget::default())?;
                     Ok(vec![
-                        w.name().to_string(),
+                        cal.workload.name().to_string(),
                         format!("{:.3}", ab.bf_prefetch_on),
                         format!("{:.3}", ab.bf_prefetch_off),
                     ])
@@ -721,11 +732,7 @@ fn run_target(target: &str, out: &Path, buf: &mut String) -> Result<(), StageErr
             push(&mut md, &figures::fig1_table(8));
             let (classes, sys, curve) = model_inputs();
             push(&mut md, &tables::tab2(calibrations()?));
-            let cal = calibrations()?
-                .iter()
-                .find(|c| c.workload == Workload::StructuredData)
-                .ok_or("structured data missing from calibration set")?
-                .clone();
+            let cal = calibration(Workload::StructuredData)?.clone();
             push(&mut md, &validate::validate_calibration(cal).to_table());
             push(&mut md, &tables::tab4(calibrations()?));
             push(&mut md, &tables::tab5(calibrations()?));

@@ -344,11 +344,9 @@ fn colocation_model_agrees_with_mixed_simulation() {
 fn prefetch_ablation_consistent_with_paper_section_7() {
     // "an improved prefetching technique will increase memory-level
     //  parallelism and will lower the blocking factor" — run in reverse.
-    let ab = memsense::experiments::ablation::prefetch_ablation(
-        Workload::Wrf,
-        &CalibrationBudget::quick(),
-    )
-    .unwrap();
+    let budget = CalibrationBudget::quick();
+    let on = calibrate(Workload::Wrf, &budget).unwrap();
+    let ab = memsense::experiments::ablation::prefetch_ablation(&on, &budget).unwrap();
     assert!(
         ab.bf_prefetch_off > ab.bf_prefetch_on,
         "disabling the prefetcher must raise BF: {} -> {}",
