@@ -20,7 +20,9 @@ use memsense_model::workload::WorkloadParams;
 use memsense_sim::config::MemoryConfig;
 use memsense_workloads::Workload;
 
-use crate::calibrate::{measure_at, CalibratedWorkload, CalibrationBudget};
+use crate::calibrate::{
+    measure_at, measure_with_prefetcher, CalibratedWorkload, CalibrationBudget,
+};
 use crate::render::{f, Table};
 use crate::ExperimentError;
 
@@ -136,7 +138,9 @@ pub fn prefetch_ablation(
     let mut samples = Vec::new();
     for memory in [MemoryConfig::ddr3_1867(), MemoryConfig::ddr3_1333()] {
         for ghz in crate::calibrate::CORE_SPEEDS_GHZ {
-            samples.push(measure_at_prefetch_off(workload, ghz, memory, budget)?);
+            samples.push(measure_with_prefetcher(
+                workload, ghz, memory, budget, false,
+            )?);
         }
     }
     let off = crate::calibrate::fit_from_samples(workload, samples)?;
@@ -145,33 +149,6 @@ pub fn prefetch_ablation(
         workload,
         bf_prefetch_on: on.bf,
         bf_prefetch_off: off.bf,
-    })
-}
-
-fn measure_at_prefetch_off(
-    workload: Workload,
-    core_ghz: f64,
-    memory: MemoryConfig,
-    budget: &CalibrationBudget,
-) -> Result<crate::calibrate::SweepSample, ExperimentError> {
-    use memsense_sim::{Machine, SimConfig};
-    let threads = match workload.class() {
-        memsense_workloads::Class::Hpc => budget.hpc_threads,
-        _ => budget.threads,
-    };
-    let config = SimConfig::xeon_like(threads)
-        .with_core_clock(core_ghz)
-        .with_memory(memory)
-        .with_prefetcher(false);
-    let mut machine = Machine::new(config, workload.streams(threads, 0xca11b))?;
-    machine.run_ops(budget.warmup_ops);
-    let measurement = machine
-        .measure_for_ns(budget.window_ns)
-        .ok_or(ExperimentError::NoData)?;
-    Ok(crate::calibrate::SweepSample {
-        core_ghz,
-        memory_mts: memory.mega_transfers,
-        measurement,
     })
 }
 

@@ -130,10 +130,23 @@ pub fn measure_at(
     memory: MemoryConfig,
     budget: &CalibrationBudget,
 ) -> Result<SweepSample, ExperimentError> {
+    measure_with_prefetcher(workload, core_ghz, memory, budget, true)
+}
+
+/// [`measure_at`] with the stream prefetcher on or off: the one machine
+/// setup both sides of the prefetch ablation measure on.
+pub(crate) fn measure_with_prefetcher(
+    workload: Workload,
+    core_ghz: f64,
+    memory: MemoryConfig,
+    budget: &CalibrationBudget,
+    prefetch: bool,
+) -> Result<SweepSample, ExperimentError> {
     let threads = budget.threads_for(workload);
     let config = SimConfig::xeon_like(threads)
         .with_core_clock(core_ghz)
-        .with_memory(memory);
+        .with_memory(memory)
+        .with_prefetcher(prefetch);
     let mut machine =
         Machine::new(config, workload.streams(threads, 0xca11b)).map_err(ExperimentError::Sim)?;
     machine.run_ops(budget.warmup_ops);

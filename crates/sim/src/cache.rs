@@ -6,18 +6,25 @@
 //! traffic — the writeback rate `WBR` of Eq. 4 is measured here.
 //!
 //! Layout: way state lives in structure-of-arrays form — one flat set-major
-//! `tags` array plus parallel `stamps`/`flags` arrays — so the hit scan of a
-//! set is a branchless compare sweep over a contiguous `u64` slice the
-//! compiler vectorizes. Recency is tracked with per-set `u32` generation
-//! stamps (LRU comparisons only ever happen within a set, so per-set clocks
-//! reproduce the exact decisions of a global counter while halving the
-//! per-way footprint). The hierarchy keeps a one-entry way predictor so the
-//! common consecutive-hits-to-one-line case skips the set walk entirely.
+//! `tags` array plus parallel `stamps`/`dirty` arrays. A never-filled way
+//! holds the tag [`INVALID`] and stamp 0, so residency is a tag compare
+//! and the LRU victim is the lowest stamp, with no validity bit to read.
+//! Every access, probe or fill walks its set once: one pass over the set's
+//! tag and stamp slices finds both the hit way and the victim, with no
+//! data-dependent branch and no per-way bounds check (the loop runs over
+//! slices cut once per call). Recency is tracked with per-set `u32`
+//! generation stamps (LRU comparisons only ever happen within a set, so
+//! per-set clocks reproduce the exact decisions of a global counter while
+//! halving the per-way footprint). The hierarchy keeps a one-entry way
+//! predictor so the common consecutive-hits-to-one-line case skips the set
+//! walk entirely.
 
 use crate::config::{CacheConfig, SimConfig};
 
-const VALID: u32 = 1;
-const DIRTY: u32 = 2;
+/// Tag of a way that has never been filled. A tag is a line address
+/// (`addr >> line_shift`, with lines of at least 8 bytes), so no resident
+/// line can carry it.
+const INVALID: u64 = u64::MAX;
 
 /// Result of a cache access at one level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,16 +39,40 @@ pub enum Lookup {
     },
 }
 
+/// One walk over a set: the way holding `tag` (`tags.len()` if none) and
+/// the replacement victim — the lowest stamp, so a never-filled way (stamp
+/// 0) before the LRU resident line; strict `<` keeps the lowest way on
+/// ties. Resident tags are unique per set, so the sweep needs no early
+/// exit.
+#[inline]
+fn sweep(tags: &[u64], stamps: &[u32], tag: u64) -> (usize, usize) {
+    let mut hit = tags.len();
+    let mut victim = 0;
+    let mut oldest = u32::MAX;
+    for (i, (&t, &s)) in tags.iter().zip(stamps).enumerate() {
+        if t == tag {
+            hit = i;
+        }
+        if s < oldest {
+            oldest = s;
+            victim = i;
+        }
+    }
+    (hit, victim)
+}
+
 /// A single set-associative, write-back, write-allocate cache with LRU
 /// replacement.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     /// Line-address tags, set-major: set `s` occupies `s*ways..(s+1)*ways`.
+    /// [`INVALID`] marks a never-filled way.
     tags: Box<[u64]>,
-    /// LRU generation stamps, parallel to `tags`.
+    /// LRU generation stamps, parallel to `tags`: 0 for a never-filled
+    /// way, at least 1 for a resident line.
     stamps: Box<[u32]>,
-    /// VALID/DIRTY state bits, parallel to `tags`.
-    flags: Box<[u32]>,
+    /// Dirty bits, parallel to `tags` (never set on a never-filled way).
+    dirty: Box<[bool]>,
     /// Per-set generation clocks backing the LRU stamps.
     clocks: Box<[u32]>,
     sets: usize,
@@ -66,11 +97,11 @@ impl SetAssocCache {
         );
         SetAssocCache {
             // memsense-lint: allow(no-per-op-alloc) — one-time table build
-            tags: vec![0u64; sets * config.ways].into_boxed_slice(),
+            tags: vec![INVALID; sets * config.ways].into_boxed_slice(),
             // memsense-lint: allow(no-per-op-alloc) — one-time table build
             stamps: vec![0u32; sets * config.ways].into_boxed_slice(),
             // memsense-lint: allow(no-per-op-alloc) — one-time table build
-            flags: vec![0u32; sets * config.ways].into_boxed_slice(),
+            dirty: vec![false; sets * config.ways].into_boxed_slice(),
             // memsense-lint: allow(no-per-op-alloc) — one-time table build
             clocks: vec![0u32; sets].into_boxed_slice(),
             sets,
@@ -87,52 +118,101 @@ impl SetAssocCache {
         self.line_shift
     }
 
+    /// The set and tag (line address) of `addr`.
+    #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr as usize) & (self.sets - 1);
-        (set, line_addr)
+        (self.set_of(line_addr), line_addr)
+    }
+
+    #[inline]
+    fn set_of(&self, tag: u64) -> usize {
+        (tag as usize) & (self.sets - 1)
+    }
+
+    /// Flat index of way 0 of `set`.
+    #[inline]
+    fn base(&self, set: usize) -> usize {
+        set * self.ways
+    }
+
+    /// [`sweep`] over `set`, returning flat indices (hit is `None` when
+    /// `tag` is absent).
+    #[inline]
+    fn walk(&self, set: usize, tag: u64) -> (Option<usize>, usize) {
+        let base = self.base(set);
+        let ways = base..base + self.ways;
+        let (hit, victim) = sweep(&self.tags[ways.clone()], &self.stamps[ways], tag);
+        ((hit < self.ways).then_some(base + hit), base + victim)
+    }
+
+    /// The flat index of the way holding `tag` in `set`, if resident: a
+    /// compare over the set's tags alone.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = self.base(set);
+        let mut found = self.ways;
+        for (i, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            if t == tag {
+                found = i;
+            }
+        }
+        (found < self.ways).then_some(base + found)
     }
 
     /// Advances `set`'s generation clock and returns the new stamp.
     /// Stamps for resident lines are therefore always ≥ 1.
+    #[inline]
     fn tick(&mut self, set: usize) -> u32 {
-        let clock = &mut self.clocks[set];
-        if *clock == u32::MAX {
-            // Wrapping would corrupt the LRU order; re-rank the set's
-            // stamps to 1..=ways (preserving relative recency) and restart
-            // the clock from there. Needs 4 billion accesses to one set to
-            // trigger, so the cost is irrelevant.
-            let base = set * self.ways;
-            // memsense-lint: allow(no-per-op-alloc) — renorm fires once per 4G accesses to a set
-            let mut order: Vec<usize> = (0..self.ways).collect();
-            order.sort_by_key(|&i| self.stamps[base + i]);
-            for (rank, &i) in order.iter().enumerate() {
-                if self.flags[base + i] & VALID != 0 {
-                    self.stamps[base + i] = rank as u32 + 1;
-                }
-            }
-            self.clocks[set] = self.ways as u32;
+        if self.clocks[set] == u32::MAX {
+            self.renormalize(set);
         }
         let clock = &mut self.clocks[set];
         *clock += 1;
         *clock
     }
 
-    /// Branchless hit scan: the flat index of the valid way holding `tag`
-    /// in the set at `base`, or `usize::MAX`. Resident tags are unique per
-    /// set, so accumulating the matching index over the whole contiguous
-    /// tag slice (no early exit, no data-dependent branch) finds the sole
-    /// hit; the compiler turns the sweep into vector compares.
-    #[inline]
-    fn find_way(&self, base: usize, tag: u64) -> usize {
-        let mut found = usize::MAX;
-        for i in base..base + self.ways {
-            let hit = (self.flags[i] & VALID != 0) & (self.tags[i] == tag);
-            if hit {
-                found = i;
+    /// Re-ranks `set`'s resident stamps to `1..` in recency order (never-
+    /// filled ways keep stamp 0) and restarts its clock above them, before
+    /// a wrap could corrupt the LRU order. Relative order is kept, so hit
+    /// and victim choices are unchanged. Needs 4 billion accesses to one
+    /// set to trigger, so the cost is irrelevant.
+    #[cold]
+    #[inline(never)]
+    fn renormalize(&mut self, set: usize) {
+        let base = self.base(set);
+        // memsense-lint: allow(no-per-op-alloc) — renorm fires once per 4G accesses to a set
+        let mut order: Vec<usize> = (base..base + self.ways).collect();
+        order.sort_by_key(|&i| self.stamps[i]);
+        for (rank, &i) in order.iter().enumerate() {
+            if self.tags[i] != INVALID {
+                self.stamps[i] = rank as u32 + 1;
             }
         }
-        found
+        self.clocks[set] = self.ways as u32;
+    }
+
+    /// Records a hit on flat slot `i` of `set`.
+    #[inline]
+    fn touch(&mut self, set: usize, i: usize, write: bool) {
+        self.stamps[i] = self.tick(set);
+        self.dirty[i] |= write;
+        self.hits += 1;
+    }
+
+    /// Records a miss and installs `tag` into victim slot `i` of `set`,
+    /// returning the victim's base address if it was dirty.
+    #[inline]
+    fn install(&mut self, set: usize, i: usize, tag: u64, write: bool) -> Option<u64> {
+        self.misses += 1;
+        // A never-filled way is never dirty; the stored tag is the full
+        // line address, so the victim's base address is the tag shifted
+        // back up.
+        let writeback = self.dirty[i].then(|| self.tags[i] << self.line_shift);
+        self.tags[i] = tag;
+        self.stamps[i] = self.tick(set);
+        self.dirty[i] = write;
+        writeback
     }
 
     /// Accesses `addr`; allocates on miss. `write` marks the line dirty.
@@ -145,40 +225,29 @@ impl SetAssocCache {
     /// was installed into) — the hierarchy's way predictor remembers it.
     pub(crate) fn access_indexed(&mut self, addr: u64, write: bool) -> (Lookup, u32) {
         let (set, tag) = self.index(addr);
-        let stamp = self.tick(set);
-        let base = set * self.ways;
-
-        let hit = self.find_way(base, tag);
-        if hit != usize::MAX {
-            self.stamps[hit] = stamp;
-            self.flags[hit] |= (write as u32) * DIRTY;
-            self.hits += 1;
-            return (Lookup::Hit, hit as u32);
-        }
-        self.misses += 1;
-        // Choose victim branchlessly: the first invalid way (key 0), else
-        // LRU (lowest stamp); strict `<` keeps the lowest index on ties.
-        let mut victim_idx = base;
-        let mut victim_key = u64::MAX;
-        for i in base..base + self.ways {
-            let valid = (self.flags[i] & VALID != 0) as u64;
-            let key = valid * self.stamps[i] as u64;
-            if key < victim_key {
-                victim_key = key;
-                victim_idx = i;
+        match self.walk(set, tag) {
+            (Some(i), _) => {
+                self.touch(set, i, write);
+                (Lookup::Hit, i as u32)
+            }
+            (None, victim) => {
+                let writeback = self.install(set, victim, tag, write);
+                (Lookup::Miss { writeback }, victim as u32)
             }
         }
-        let writeback = if self.flags[victim_idx] & (VALID | DIRTY) == VALID | DIRTY {
-            // The stored tag is the full line address, so the victim's base
-            // address is just the tag shifted back up.
-            Some(self.tags[victim_idx] << self.line_shift)
-        } else {
-            None
-        };
-        self.tags[victim_idx] = tag;
-        self.stamps[victim_idx] = stamp;
-        self.flags[victim_idx] = VALID | ((write as u32) * DIRTY);
-        (Lookup::Miss { writeback }, victim_idx as u32)
+    }
+
+    /// Installs `addr` as a clean line unless it is already resident, in
+    /// one walk of its set: [`SetAssocCache::access`] after a failed
+    /// [`SetAssocCache::probe`]. A resident line is left untouched — no
+    /// recency update, no counter. Returns the dirty victim's address, if
+    /// any.
+    pub(crate) fn fill(&mut self, addr: u64) -> Option<u64> {
+        let (set, tag) = self.index(addr);
+        match self.walk(set, tag) {
+            (Some(_), _) => None,
+            (None, victim) => self.install(set, victim, tag, false),
+        }
     }
 
     /// Way-predictor fast path: if flat slot `index` still holds the line
@@ -187,31 +256,32 @@ impl SetAssocCache {
     /// leaves all state untouched and returns `false`.
     pub(crate) fn hit_at(&mut self, index: u32, tag: u64, write: bool) -> bool {
         let i = index as usize;
-        if self.flags[i] & VALID == 0 || self.tags[i] != tag {
+        if self.tags[i] != tag {
             return false;
         }
-        let stamp = self.tick(i / self.ways);
-        self.stamps[i] = stamp;
-        self.flags[i] |= (write as u32) * DIRTY;
-        self.hits += 1;
+        self.touch(self.set_of(tag), i, write);
         true
     }
 
     /// Checks for presence without updating replacement state.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.find_way(set * self.ways, tag) != usize::MAX
+        let base = self.base(set);
+        self.tags[base..base + self.ways]
+            .iter()
+            .fold(false, |found, &t| found | (t == tag))
     }
 
     /// Marks `addr` dirty if present, returning whether it was found.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        let i = self.find_way(set * self.ways, tag);
-        if i != usize::MAX {
-            self.flags[i] |= DIRTY;
-            return true;
+        match self.find(set, tag) {
+            Some(i) => {
+                self.dirty[i] = true;
+                true
+            }
+            None => false,
         }
-        false
     }
 
     /// Hit count since construction.
@@ -348,8 +418,8 @@ impl CacheHierarchy {
     }
 
     /// Installs a prefetched line into the LLC and L2 (modeling the L2
-    /// streamer bringing data close to the core). Returns a dirty LLC
-    /// victim, if any.
+    /// streamer bringing data close to the core). A line already in the
+    /// LLC is left untouched there. Returns a dirty LLC victim, if any.
     pub fn install_prefetch(&mut self, addr: u64) -> Option<u64> {
         if let Lookup::Miss {
             writeback: Some(wb),
@@ -357,13 +427,7 @@ impl CacheHierarchy {
         {
             self.llc.mark_dirty(wb);
         }
-        if self.llc.probe(addr) {
-            return None;
-        }
-        match self.llc.access(addr, false) {
-            Lookup::Hit => None,
-            Lookup::Miss { writeback } => writeback,
-        }
+        self.llc.fill(addr)
     }
 
     /// Whether `addr` is present in the LLC.
@@ -480,6 +544,65 @@ mod tests {
         let hits_before = c.hits();
         assert!(!c.hit_at(slot, 0xdead, false));
         assert_eq!(c.hits(), hits_before);
+    }
+
+    #[test]
+    fn renormalization_preserves_lru_order_and_free_ways() {
+        // One set of four ways: every line maps to set 0.
+        let mut c = SetAssocCache::new(
+            &CacheConfig {
+                capacity: 256,
+                ways: 4,
+                hit_latency: 4,
+            },
+            64,
+        );
+        c.access(0x000, false); // A
+        c.access(0x040, true); // B, dirty
+        c.access(0x000, false); // recency B, A; ways 2 and 3 never filled
+        c.clocks[0] = u32::MAX; // force renormalization on the next access
+                                // Never-filled ways are still taken before any resident line.
+        assert_eq!(c.access(0x080, false), Lookup::Miss { writeback: None });
+        assert_eq!(c.access(0x0c0, false), Lookup::Miss { writeback: None });
+        assert!(c.probe(0x000) && c.probe(0x040), "A and B stay resident");
+        // Recency B, A, C, D: B is the true LRU across the wrap.
+        assert_eq!(
+            c.access(0x100, false),
+            Lookup::Miss {
+                writeback: Some(0x040)
+            }
+        );
+        assert!(!c.probe(0x040));
+        // A full set renormalizes too. Recency A, C, D, E; touching C
+        // across the wrap makes it A, D, E, C.
+        c.clocks[0] = u32::MAX;
+        assert_eq!(c.access(0x080, false), Lookup::Hit);
+        c.access(0x140, false); // evicts A
+        assert!(!c.probe(0x000));
+        c.access(0x180, false); // evicts D, not the re-touched C
+        assert!(!c.probe(0x0c0));
+        assert!(c.probe(0x080) && c.probe(0x100) && c.probe(0x140) && c.probe(0x180));
+    }
+
+    #[test]
+    fn fill_leaves_a_resident_line_untouched() {
+        let mut c = small_cache();
+        c.access(0x000, true);
+        c.access(0x400, false); // set 0: recency 0x000, 0x400
+        let hits = c.hits();
+        assert_eq!(c.fill(0x000), None, "present: no install");
+        assert_eq!((c.hits(), c.misses()), (hits, 2), "no counter moves");
+        // 0x000 kept its age, so the next miss still evicts it (dirty).
+        assert_eq!(
+            c.access(0x800, false),
+            Lookup::Miss {
+                writeback: Some(0x000)
+            }
+        );
+        // An absent line is installed clean, as a miss.
+        assert_eq!(c.fill(0xc00), None);
+        assert_eq!(c.misses(), 4);
+        assert!(c.probe(0xc00));
     }
 
     #[test]

@@ -193,6 +193,8 @@ impl CoreHeap {
 
 struct Core {
     stream: BoxedStream,
+    /// The socket whose controller serves this thread's memory requests.
+    socket: usize,
     hierarchy: CacheHierarchy,
     prefetcher: StreamPrefetcher,
     tlb: Tlb,
@@ -306,10 +308,15 @@ impl Machine {
         }
         let cycle_ns = 1.0 / config.core_clock_ghz;
         let issue_ns = cycle_ns / config.issue_width as f64;
+        let sockets = config.numa.sockets as usize;
+        let core_count = streams.len();
         let cores = streams
             .into_iter()
-            .map(|stream| Core {
+            .enumerate()
+            .map(|(idx, stream)| Core {
                 stream,
+                // Threads are spread over sockets in contiguous blocks.
+                socket: idx * sockets / core_count,
                 hierarchy: CacheHierarchy::new(&config),
                 prefetcher: StreamPrefetcher::new(config.prefetch, config.line_size),
                 tlb: Tlb::new(config.tlb),
@@ -426,10 +433,6 @@ impl Machine {
         total
     }
 
-    fn socket_of(&self, core_idx: usize) -> usize {
-        core_idx * self.config.numa.sockets as usize / self.cores.len()
-    }
-
     /// Current simulated time: the laggard thread's clock (ns).
     pub fn now_ns(&self) -> f64 {
         self.cores
@@ -527,9 +530,9 @@ impl Machine {
     }
 
     fn step_core(&mut self, idx: usize, ops: u32) {
-        let socket = self.socket_of(idx);
         let config = &self.config;
         let core = &mut self.cores[idx];
+        let socket = core.socket;
         let rob = config.rob_size as u64;
         let mshrs = config.mshrs as usize;
 

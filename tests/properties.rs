@@ -275,9 +275,77 @@ mod sim_properties {
     use memsense::sim::cache::{CacheHierarchy, HitLevel};
     use memsense::sim::config::{MemoryConfig, SimConfig};
     use memsense::sim::mem::MemoryController;
+    use memsense::sim::tlb::TlbConfig;
+    use memsense::sim::trace::{BoxedStream, PatternStream};
+    use memsense::sim::{Machine, Op};
+
+    /// Op `i` of a random pattern: `kind` picks compute, idle, load,
+    /// dependent load, store or non-temporal store. A sequential pattern
+    /// walks 16-byte elements in order (so the stream prefetcher trains and
+    /// its fills are used); a random one hops between pages over 1 MiB.
+    /// Long patterns outgrow the 40 KiB LLC, so dirty lines are evicted by
+    /// demand misses and prefetch fills alike.
+    fn pattern_op(i: usize, kind: u8, offset: u64, sequential: bool) -> Op {
+        let addr = if sequential {
+            i as u64 * 16
+        } else {
+            (offset + i as u64 * 4160) % (1 << 20)
+        };
+        match kind {
+            0 => Op::compute(),
+            1 => Op::idle(3),
+            2 | 3 => Op::load(addr),
+            4 => Op::dependent_load(addr),
+            5 | 6 => Op::store(addr),
+            _ => Op::nt_store(addr),
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every request the memory controllers see has one source: a
+        /// demand LLC miss, a prefetch fill, a dirty-victim writeback, a
+        /// non-temporal store or a line of I/O (no background agents run),
+        /// and each moves one line.
+        #[test]
+        fn machine_conserves_memory_requests(
+            cores in 1u32..=4,
+            tlb in any::<bool>(),
+            prefetch in any::<bool>(),
+            sequential in any::<bool>(),
+            io in any::<bool>(),
+            io_rate in 0.0f64..8.0,
+            ops in proptest::collection::vec((0u8..8, 0u64..(1 << 20)), 1..96),
+            repeats in 1usize..256,
+        ) {
+            let mut cfg = SimConfig::xeon_like(cores).with_prefetcher(prefetch);
+            if tlb {
+                cfg = cfg.with_tlb(TlbConfig::dtlb_64());
+            }
+            let line = cfg.line_size as u64;
+            let pattern: Vec<Op> = ops
+                .iter()
+                .cycle()
+                .take(ops.len() * repeats)
+                .enumerate()
+                .map(|(i, &(kind, offset))| pattern_op(i, kind, offset, sequential))
+                .collect();
+            let proto = PatternStream::new(pattern).with_io_rate(if io { io_rate } else { 0.0 });
+            let streams: Vec<BoxedStream> = (0..cores)
+                .map(|_| Box::new(proto.clone()) as BoxedStream)
+                .collect();
+            let mut m = Machine::new(cfg, streams).unwrap();
+            m.run_ops(20_000);
+            let c = m.total_counters();
+            let s = m.memory_stats();
+            prop_assert_eq!(
+                s.reads + s.writes,
+                c.llc_demand_misses + c.prefetch_fills + c.writebacks + c.nt_stores
+                    + c.io_bytes / line
+            );
+            prop_assert_eq!(s.read_bytes + s.write_bytes, line * (s.reads + s.writes));
+        }
 
         #[test]
         fn cache_second_access_always_hits(addrs in proptest::collection::vec(0u64..(1<<24), 1..200)) {
