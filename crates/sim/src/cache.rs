@@ -7,17 +7,19 @@
 //!
 //! Layout: way state lives in structure-of-arrays form — one flat set-major
 //! `tags` array plus parallel `stamps`/`dirty` arrays. A never-filled way
-//! holds the tag [`INVALID`] and stamp 0, so residency is a tag compare
-//! and the LRU victim is the lowest stamp, with no validity bit to read.
-//! Every access, probe or fill walks its set once: one pass over the set's
-//! tag and stamp slices finds both the hit way and the victim, with no
-//! data-dependent branch and no per-way bounds check (the loop runs over
-//! slices cut once per call). Recency is tracked with per-set `u32`
-//! generation stamps (LRU comparisons only ever happen within a set, so
-//! per-set clocks reproduce the exact decisions of a global counter while
-//! halving the per-way footprint). The hierarchy keeps a one-entry way
-//! predictor so the common consecutive-hits-to-one-line case skips the set
-//! walk entirely.
+//! holds the tag `INVALID` and stamp 0, so residency is a tag compare and
+//! the LRU victim is the lowest stamp, with no validity bit to read. Every
+//! access, probe or fill walks its set once. An access or fill makes one
+//! pass over the set's tag and stamp slices that finds both the hit way and
+//! the victim; on x86-64 it compiles to a scalar loop of compares and
+//! conditional moves, with no data-dependent branch and no per-way bounds
+//! check (the slices are cut once per call). A probe reads the tags alone,
+//! a compare-and-or that does vectorize. Recency is tracked with per-set
+//! `u32` generation stamps (LRU comparisons only ever happen within a set,
+//! so per-set clocks reproduce the exact decisions of a global counter
+//! while halving the per-way footprint). The hierarchy keeps a one-entry
+//! way predictor so the common consecutive-hits-to-one-line case skips the
+//! set walk entirely.
 
 use crate::config::{CacheConfig, SimConfig};
 
@@ -146,20 +148,6 @@ impl SetAssocCache {
         ((hit < self.ways).then_some(base + hit), base + victim)
     }
 
-    /// The flat index of the way holding `tag` in `set`, if resident: a
-    /// compare over the set's tags alone.
-    #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = self.base(set);
-        let mut found = self.ways;
-        for (i, &t) in self.tags[base..base + self.ways].iter().enumerate() {
-            if t == tag {
-                found = i;
-            }
-        }
-        (found < self.ways).then_some(base + found)
-    }
-
     /// Advances `set`'s generation clock and returns the new stamp.
     /// Stamps for resident lines are therefore always ≥ 1.
     #[inline]
@@ -275,13 +263,18 @@ impl SetAssocCache {
     /// Marks `addr` dirty if present, returning whether it was found.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        match self.find(set, tag) {
-            Some(i) => {
-                self.dirty[i] = true;
-                true
+        let base = self.base(set);
+        // A compare over the set's tags alone.
+        let mut found = self.ways;
+        for (i, &t) in self.tags[base..base + self.ways].iter().enumerate() {
+            if t == tag {
+                found = i;
             }
-            None => false,
         }
+        if found < self.ways {
+            self.dirty[base + found] = true;
+        }
+        found < self.ways
     }
 
     /// Hit count since construction.
