@@ -6,6 +6,24 @@
 //! parallelism — and therefore the blocking factor the calibration recovers —
 //! *emerges* from the window/MSHR limits and the dependence structure of the
 //! instruction stream, rather than being dialed in.
+//!
+//! # The retire path
+//!
+//! Every retired op ends in one retire step, `Clock::retire`: drain the
+//! reorder window, advance the thread clock, charge `now − op_start` to
+//! `busy_ns`. A quantum keeps the clock in a local `Clock` and writes it
+//! back to the core once. Most ops of a core-bound workload are pure
+//! compute (no access, not idle), and a run of them inside one
+//! zero-I/O-rate, single-phase segment retires in `retire_compute_run`, a
+//! loop that must call nothing: on x86-64 every `xmm` register is
+//! caller-saved, so a loop containing any call keeps its `f64` clocks in
+//! stack slots, and each op's two adds then wait on a store-to-load
+//! forward (~9 cycles an op instead of ~4). Everything else — accesses,
+//! idle ops, ops under a nonzero I/O rate — takes the access path, which
+//! does call (TLB, caches, prefetcher, memory controller). Both paths make
+//! the same `f64` additions in the same order, so results are bit-identical
+//! to a per-op loop: `busy_ns` adds `(now + advance) − now` per op, never
+//! `advance` itself, and never a product with a count.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -15,7 +33,7 @@ use crate::counters::{CoreCounters, Measurement, PhaseCounts, Sample};
 use crate::mem::MemoryController;
 use crate::prefetch::StreamPrefetcher;
 use crate::tlb::Tlb;
-use crate::trace::{AccessKind, BoxedStream, OpBlock};
+use crate::trace::{AccessKind, BoxedStream, Op, OpBlock};
 use crate::SimError;
 
 /// Fraction of the hit latency an *independent* access exposes to the core
@@ -541,25 +559,57 @@ impl Machine {
         core.stream.fill_block(&mut core.block, ops as usize);
         let n = core.block.ops.len();
 
+        // The clock lives in a local for the quantum and is written back
+        // once at the end; nothing below reads the core's copy.
+        let mut clk = Clock {
+            now: core.time_ns,
+            busy: core.counters.busy_ns,
+            stall: core.counters.stall_ns,
+            retired: core.counters.instructions,
+        };
+
         // Run cursors: phase bumps are flushed per run (`bump_n`), the I/O
         // credit add is skipped for zero-rate runs — both bit-identical to
-        // the per-op forms.
+        // the per-op forms. The block is walked in segments on which the
+        // phase label and the I/O rate are both constant.
         let mut phase_idx = 0usize;
         let mut phase_left = if n > 0 { core.block.phase_run(0).0 } else { 0 };
         let mut phase_retired = 0u64;
         let mut io_idx = 0usize;
         let (mut io_left, mut io_rate) = core.block.io_run(0);
 
-        for j in 0..n {
-            let op = core.block.ops[j];
+        let mut j = 0;
+        while j < n {
+            let seg = phase_left.min(io_left);
+            let seg_end = j + seg as usize;
+            while j < seg_end {
+                if io_rate == 0.0 && is_pure_compute(&core.block.ops[j]) {
+                    let run = retire_compute_run(
+                        &mut clk,
+                        &mut core.outstanding,
+                        rob,
+                        &core.block.ops[j..seg_end],
+                        self.issue_ns,
+                        self.cycle_ns,
+                    );
+                    phase_retired += run as u64;
+                    j += run;
+                    if j == seg_end {
+                        break;
+                    }
+                }
+                let op = core.block.ops[j];
+                j += 1;
 
-            if op.idle {
-                let dur = op.extra_cycles as f64 * self.cycle_ns;
-                core.time_ns += dur;
-                core.counters.idle_ns += dur;
-            } else {
+                if op.idle {
+                    let dur = op.extra_cycles as f64 * self.cycle_ns;
+                    clk.now += dur;
+                    core.counters.idle_ns += dur;
+                    continue;
+                }
+
                 // Issue slot + extra compute latency.
-                let op_start_ns = core.time_ns;
+                let op_start_ns = clk.now;
                 let mut advance = self.issue_ns + op.extra_cycles as f64 * self.cycle_ns;
 
                 // I/O traffic owed by this thread's device activity. Adding a
@@ -573,14 +623,7 @@ impl Machine {
                             & !(config.line_size as u64 - 1);
                         let write = core.io_toggle;
                         core.io_toggle = !core.io_toggle;
-                        numa_request(
-                            config,
-                            &mut self.memory,
-                            socket,
-                            core.time_ns,
-                            io_addr,
-                            write,
-                        );
+                        numa_request(config, &mut self.memory, socket, clk.now, io_addr, write);
                         core.counters.io_bytes += config.line_size as u64;
                     }
                 }
@@ -594,12 +637,12 @@ impl Machine {
                     if !core.tlb.access(addr) {
                         let walk = core.tlb.walk_cycles() as f64 * self.cycle_ns;
                         advance += walk;
-                        core.counters.stall_ns += walk;
+                        clk.stall += walk;
                         core.counters.tlb_misses += 1;
                     }
 
                     if matches!(kind, AccessKind::NonTemporalStore) {
-                        numa_request(config, &mut self.memory, socket, core.time_ns, addr, true);
+                        numa_request(config, &mut self.memory, socket, clk.now, addr, true);
                         core.counters.nt_stores += 1;
                     } else {
                         let res = core.hierarchy.access(addr, is_store);
@@ -624,14 +667,13 @@ impl Machine {
                                 let line = addr >> config.line_size.trailing_zeros();
                                 if let Some(ready) = core.pending_prefetch.remove(line) {
                                     if dependent {
-                                        let t = core.time_ns + advance;
+                                        let t = clk.now + advance;
                                         if ready > t {
-                                            core.counters.stall_ns += ready - t;
+                                            clk.stall += ready - t;
                                             advance += ready - t;
                                         }
-                                    } else if ready > core.time_ns {
-                                        core.outstanding
-                                            .push_back((ready, core.counters.instructions));
+                                    } else if ready > clk.now {
+                                        core.outstanding.push_back((ready, clk.retired));
                                     }
                                     // Keep the stream running ahead.
                                     Self::issue_prefetches(
@@ -639,6 +681,7 @@ impl Machine {
                                         &mut self.memory,
                                         socket,
                                         core,
+                                        clk.now,
                                         addr,
                                     );
                                 }
@@ -650,7 +693,7 @@ impl Machine {
                                         config,
                                         &mut self.memory,
                                         socket,
-                                        core.time_ns,
+                                        clk.now,
                                         victim,
                                         true,
                                     );
@@ -661,12 +704,13 @@ impl Machine {
                                     &mut self.memory,
                                     socket,
                                     core,
+                                    clk.now,
                                     addr,
                                 );
 
                                 // Retire completed misses, then respect MSHRs.
                                 while let Some(&(done, _)) = core.outstanding.front() {
-                                    if done <= core.time_ns {
+                                    if done <= clk.now {
                                         core.outstanding.pop_front();
                                     } else {
                                         break;
@@ -674,9 +718,9 @@ impl Machine {
                                 }
                                 if core.outstanding.len() >= mshrs {
                                     if let Some((done, _)) = core.outstanding.pop_front() {
-                                        if done > core.time_ns {
-                                            core.counters.stall_ns += done - core.time_ns;
-                                            core.time_ns = done;
+                                        if done > clk.now {
+                                            clk.stall += done - clk.now;
+                                            clk.now = done;
                                         }
                                     }
                                 }
@@ -685,7 +729,7 @@ impl Machine {
                                     config,
                                     &mut self.memory,
                                     socket,
-                                    core.time_ns,
+                                    clk.now,
                                     addr,
                                     false,
                                 );
@@ -696,12 +740,11 @@ impl Machine {
 
                                 if dependent {
                                     // Pointer chase: the core cannot proceed.
-                                    let stall = resp.complete_ns - core.time_ns;
-                                    core.counters.stall_ns += stall.max(0.0);
-                                    core.time_ns = resp.complete_ns.max(core.time_ns);
+                                    let stall = resp.complete_ns - clk.now;
+                                    clk.stall += stall.max(0.0);
+                                    clk.now = resp.complete_ns.max(clk.now);
                                 } else if !is_store {
-                                    core.outstanding
-                                        .push_back((resp.complete_ns, core.counters.instructions));
+                                    core.outstanding.push_back((resp.complete_ns, clk.retired));
                                 }
                                 // Stores retire via the store buffer: traffic
                                 // counted, no core stall.
@@ -710,27 +753,11 @@ impl Machine {
                     }
                 }
 
-                // Reorder-window limit: the core may run at most `rob` retired
-                // instructions past the oldest incomplete miss.
-                while let Some(&(done, ridx)) = core.outstanding.front() {
-                    if done <= core.time_ns {
-                        core.outstanding.pop_front();
-                    } else if core.counters.instructions.saturating_sub(ridx) >= rob {
-                        core.counters.stall_ns += done - core.time_ns;
-                        core.time_ns = done;
-                        core.outstanding.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-
-                core.time_ns += advance;
-                core.counters.busy_ns += core.time_ns - op_start_ns;
-                core.counters.instructions += 1;
+                clk.retire(&mut core.outstanding, rob, op_start_ns, advance);
                 phase_retired += 1;
             }
 
-            phase_left -= 1;
+            phase_left -= seg;
             if phase_left == 0 {
                 let (_, label) = core.block.phase_run(phase_idx);
                 core.phase_instructions.bump_n(label, phase_retired);
@@ -740,13 +767,18 @@ impl Machine {
                     phase_left = core.block.phase_run(phase_idx).0;
                 }
             }
-            io_left -= 1;
+            io_left -= seg;
             if io_left == 0 {
                 io_idx += 1;
                 (io_left, io_rate) = core.block.io_run(io_idx);
             }
         }
         debug_assert_eq!(phase_retired, 0, "phase runs must cover the block");
+
+        core.time_ns = clk.now;
+        core.counters.busy_ns = clk.busy;
+        core.counters.stall_ns = clk.stall;
+        core.counters.instructions = clk.retired;
     }
 
     fn issue_prefetches(
@@ -754,6 +786,7 @@ impl Machine {
         memory: &mut [MemoryController],
         socket: usize,
         core: &mut Core,
+        now_ns: f64,
         addr: u64,
     ) {
         if core.pending_prefetch.len() >= MAX_PENDING_PREFETCHES {
@@ -766,9 +799,9 @@ impl Machine {
             if core.hierarchy.llc_contains(pf_addr) {
                 continue;
             }
-            let resp = numa_request(config, memory, socket, core.time_ns, pf_addr, false);
+            let resp = numa_request(config, memory, socket, now_ns, pf_addr, false);
             if let Some(victim) = core.hierarchy.install_prefetch(pf_addr) {
-                numa_request(config, memory, socket, core.time_ns, victim, true);
+                numa_request(config, memory, socket, now_ns, victim, true);
                 core.counters.writebacks += 1;
             }
             core.counters.prefetch_fills += 1;
@@ -780,6 +813,80 @@ impl Machine {
         }
         core.pf_scratch = targets;
     }
+}
+
+/// A core's simulated clock and retire counters, held in locals while a
+/// quantum runs and written back to the core once at its end.
+#[derive(Clone, Copy)]
+struct Clock {
+    /// Thread time, ns.
+    now: f64,
+    busy: f64,
+    stall: f64,
+    /// Instructions retired.
+    retired: u64,
+}
+
+impl Clock {
+    /// The one retire step, shared by compute runs and the access path:
+    /// drain the reorder window (the core may run at most `rob` retired
+    /// instructions past the oldest incomplete miss), then advance the
+    /// clock and charge the op's busy time from `op_start_ns`.
+    #[inline(always)]
+    fn retire(
+        &mut self,
+        outstanding: &mut VecDeque<(f64, u64)>,
+        rob: u64,
+        op_start_ns: f64,
+        advance: f64,
+    ) {
+        while let Some(&(done, ridx)) = outstanding.front() {
+            if done <= self.now {
+                outstanding.pop_front();
+            } else if self.retired.saturating_sub(ridx) >= rob {
+                self.stall += done - self.now;
+                self.now = done;
+                outstanding.pop_front();
+            } else {
+                break;
+            }
+        }
+        self.now += advance;
+        self.busy += self.now - op_start_ns;
+        self.retired += 1;
+    }
+}
+
+/// An op that retires without touching memory: not idle, no access.
+#[inline(always)]
+fn is_pure_compute(op: &Op) -> bool {
+    !op.idle && op.access.is_none()
+}
+
+/// Retires the leading pure-compute ops of `ops` (not idle, no access) and
+/// returns how many. The caller passes only ops of one zero-I/O-rate,
+/// single-phase segment. See the module doc for why this loop calls nothing.
+#[inline(never)]
+fn retire_compute_run(
+    clk: &mut Clock,
+    outstanding: &mut VecDeque<(f64, u64)>,
+    rob: u64,
+    ops: &[Op],
+    issue_ns: f64,
+    cycle_ns: f64,
+) -> usize {
+    let mut c = *clk;
+    let mut run = 0;
+    for op in ops {
+        if !is_pure_compute(op) {
+            break;
+        }
+        let advance = issue_ns + op.extra_cycles as f64 * cycle_ns;
+        c.retire(outstanding, rob, c.now, advance);
+        run += 1;
+    }
+    *clk = c;
+    run
 }
 
 impl core::fmt::Debug for Machine {
@@ -1280,6 +1387,164 @@ mod tests {
         let mut m =
             Machine::new(cfg, vec![Box::new(PatternStream::new(vec![Op::compute()]))]).unwrap();
         m.add_background_traffic(0.0, 0.5, 0);
+    }
+
+    /// Core 0's end state, exact: `busy_ns`, `stall_ns`, `idle_ns` and the
+    /// thread clock as bits, then the retired count.
+    fn core0_bits(m: &Machine) -> ([u64; 4], u64) {
+        let c = &m.cores[0];
+        (
+            [
+                c.counters.busy_ns.to_bits(),
+                c.counters.stall_ns.to_bits(),
+                c.counters.idle_ns.to_bits(),
+                c.time_ns.to_bits(),
+            ],
+            c.counters.instructions,
+        )
+    }
+
+    /// Eight independent misses, then a compute run of 400 ops: the run is
+    /// longer than the 96-entry reorder window, so the window fills and
+    /// stalls in the middle of it.
+    struct MissesThenCompute {
+        n: u64,
+        addr: u64,
+    }
+
+    impl InstructionStream for MissesThenCompute {
+        fn next_op(&mut self) -> Op {
+            self.n += 1;
+            if self.n % 408 < 8 {
+                self.addr = self.addr.wrapping_mul(6364136223846793005).wrapping_add(41);
+                Op::load((self.addr % (64 * 1024 * 1024)) & !63)
+            } else {
+                Op::compute_heavy((self.n % 3) as u32)
+            }
+        }
+    }
+
+    #[test]
+    fn rob_stall_inside_a_compute_run_is_bit_exact() {
+        let cfg = SimConfig::xeon_like(1);
+        let stream = MissesThenCompute { n: 0, addr: 9 };
+        let mut m = Machine::new(cfg, vec![Box::new(stream)]).unwrap();
+        m.run_ops(20_000);
+        assert!(m.total_counters().stall_ns > 0.0, "the window must fill");
+        assert_eq!(
+            core0_bits(&m),
+            (
+                [
+                    4667609115355564577,
+                    4657675336858935242,
+                    0,
+                    4667609115355564577
+                ],
+                20_000
+            )
+        );
+    }
+
+    /// Compute ops whose I/O rate switches between zero and nonzero every
+    /// 13 ops, so rate runs start and end inside scheduling quanta.
+    struct IoBursts {
+        n: u64,
+    }
+
+    impl InstructionStream for IoBursts {
+        fn next_op(&mut self) -> Op {
+            self.n += 1;
+            Op::compute_heavy((self.n % 4) as u32)
+        }
+        fn io_bytes_per_instruction(&self) -> f64 {
+            if (self.n / 13).is_multiple_of(2) {
+                0.0
+            } else {
+                40.0
+            }
+        }
+    }
+
+    #[test]
+    fn compute_under_io_bursts_is_bit_exact() {
+        let cfg = SimConfig::xeon_like(1);
+        let mut m = Machine::new(cfg, vec![Box::new(IoBursts { n: 0 })]).unwrap();
+        m.run_ops(5_000);
+        let c = m.total_counters();
+        assert_eq!(c.io_bytes, 99_840);
+        assert_eq!(m.memory_stats().total_bytes(), c.io_bytes);
+        assert_eq!(
+            core0_bits(&m),
+            ([4659344879327826573, 0, 0, 4659344879327826573], 5_000)
+        );
+    }
+
+    /// A label that changes every 7 ops (never aligned with a quantum),
+    /// over compute ops with a load every 11th op.
+    struct ShortPhases {
+        n: u64,
+    }
+
+    impl InstructionStream for ShortPhases {
+        fn next_op(&mut self) -> Op {
+            self.n += 1;
+            if self.n.is_multiple_of(11) {
+                Op::load((self.n * 64) % (256 * 1024))
+            } else {
+                Op::compute_heavy((self.n % 5) as u32)
+            }
+        }
+        fn phase(&self) -> &str {
+            ["a", "b", "c"][(self.n / 7 % 3) as usize]
+        }
+    }
+
+    #[test]
+    fn mid_block_phase_changes_are_bit_exact() {
+        let cfg = SimConfig::xeon_like(1);
+        let mut m = Machine::new(cfg, vec![Box::new(ShortPhases { n: 0 })]).unwrap();
+        m.run_ops(3_001);
+        let counts: Vec<(String, u64)> = m.phase_instruction_counts().into_iter().collect();
+        let expect: Vec<(String, u64)> = [("a", 1_000), ("b", 1_001), ("c", 1_000)]
+            .iter()
+            .map(|&(l, n)| (l.to_string(), n))
+            .collect();
+        assert_eq!(counts, expect);
+        assert_eq!(
+            core0_bits(&m),
+            (
+                [
+                    4657408518625346385,
+                    4633758440138628938,
+                    0,
+                    4657408518625346385
+                ],
+                3_001
+            )
+        );
+    }
+
+    #[test]
+    fn idle_ops_between_compute_runs_are_bit_exact() {
+        let mut pattern = vec![Op::compute(); 5];
+        pattern.push(Op::idle(7));
+        pattern.extend([Op::compute_heavy(2); 3]);
+        pattern.push(Op::idle(1));
+        pattern.push(Op::compute());
+        let mut m = machine_with(pattern, 2);
+        m.run_ops(4_000);
+        assert_eq!(
+            core0_bits(&m),
+            (
+                [
+                    4653683127452531767,
+                    0,
+                    4653500689967626492,
+                    4658095508337449661
+                ],
+                4_000
+            )
+        );
     }
 
     #[test]

@@ -119,8 +119,9 @@ impl Tlb {
         }
         // Branchless scan of the page array: resident pages are unique, so
         // accumulating the matching index finds the (sole) hit without a
-        // data-dependent branch per entry — the compiler vectorizes the
-        // whole-array compare.
+        // data-dependent branch per entry. On x86-64 it compiles to a
+        // scalar loop of compares and conditional moves (unrolled by four),
+        // not vector code: the running index is a loop-carried dependence.
         let mut found = usize::MAX;
         for (i, &p) in self.pages.iter().enumerate() {
             if p == page {
